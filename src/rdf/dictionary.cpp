@@ -1,8 +1,6 @@
 #include "rdf/dictionary.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <functional>
 #include <mutex>
 
@@ -10,57 +8,23 @@
 
 namespace scisparql {
 
-namespace {
-
-/// Bit pattern of a double, so exact-identity hashing distinguishes e.g.
-/// 0.0 from -0.0 the same way ExactEq below does (via memcmp semantics).
-uint64_t DoubleBits(double d) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(d), "double is not 64-bit");
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-}  // namespace
-
-size_t TermDictionary::ExactHash::operator()(const Term& t) const {
-  size_t h = std::hash<int>()(static_cast<int>(t.kind()));
+size_t TermDictionary::IdentityHash::operator()(const Term& t) const {
   switch (t.kind()) {
-    case Term::Kind::kUndef:
-      return h;
-    case Term::Kind::kInteger:
-      return HashCombine(h, std::hash<int64_t>()(t.integer()));
-    case Term::Kind::kDouble:
-      return HashCombine(h, std::hash<uint64_t>()(DoubleBits(t.dbl())));
-    case Term::Kind::kBoolean:
-      return HashCombine(h, std::hash<bool>()(t.boolean()));
     case Term::Kind::kArray:
       // Object identity: proxies are never materialized by the dictionary.
-      return HashCombine(h, std::hash<const void*>()(t.array().get()));
+      return HashCombine(std::hash<int>()(static_cast<int>(t.kind())),
+                         std::hash<const void*>()(t.array().get()));
     default:
-      return HashCombine(HashCombine(h, std::hash<std::string>()(t.lexical())),
-                         std::hash<std::string>()(t.lang()));
+      return t.Hash();
   }
 }
 
-bool TermDictionary::ExactEq::operator()(const Term& a, const Term& b) const {
-  if (a.kind() != b.kind()) return false;
-  switch (a.kind()) {
-    case Term::Kind::kUndef:
-      return true;
-    case Term::Kind::kInteger:
-      return a.integer() == b.integer();
-    case Term::Kind::kDouble:
-      return DoubleBits(a.dbl()) == DoubleBits(b.dbl());
-    case Term::Kind::kBoolean:
-      return a.boolean() == b.boolean();
-    case Term::Kind::kArray:
-      return a.array().get() == b.array().get();
-    default:
-      // lexical()/lang() cover iri(), blank_label() and datatype() too —
-      // they alias the same two underlying fields for every kind.
-      return a.lexical() == b.lexical() && a.lang() == b.lang();
+bool TermDictionary::IdentityEq::operator()(const Term& a,
+                                            const Term& b) const {
+  if (a.IsArray() || b.IsArray()) {
+    return a.IsArray() && b.IsArray() && a.array().get() == b.array().get();
   }
+  return Term::Identical(a, b);
 }
 
 size_t TermStringBytes(const Term& t) {
@@ -84,17 +48,12 @@ void TermDictionary::MoveFrom(TermDictionary&& o) {
   ids_ = std::move(o.ids_);
   chunk_store_ = std::move(o.chunk_store_);
   dirs_ = std::move(o.dirs_);
-  huge_ints_ = o.huge_ints_;
   dir_.store(o.dir_.load(std::memory_order_relaxed),
              std::memory_order_relaxed);
   size_.store(o.size_.load(std::memory_order_relaxed),
               std::memory_order_relaxed);
-  array_terms_.store(o.array_terms_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
   string_bytes_.store(o.string_bytes_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
-  numeric_alias_.store(o.numeric_alias_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
   o.Reset();
 }
 
@@ -102,12 +61,9 @@ void TermDictionary::Reset() {
   ids_.clear();
   chunk_store_.clear();
   dirs_.clear();
-  huge_ints_ = 0;
   dir_.store(nullptr, std::memory_order_relaxed);
   size_.store(0, std::memory_order_release);
-  array_terms_.store(0, std::memory_order_relaxed);
   string_bytes_.store(0, std::memory_order_relaxed);
-  numeric_alias_.store(false, std::memory_order_relaxed);
 }
 
 TermDictionary::TermDictionary(TermDictionary&& o) noexcept {
@@ -117,47 +73,6 @@ TermDictionary::TermDictionary(TermDictionary&& o) noexcept {
 TermDictionary& TermDictionary::operator=(TermDictionary&& o) noexcept {
   if (this != &o) MoveFrom(std::move(o));
   return *this;
-}
-
-void TermDictionary::DetectAlias(const Term& t) {
-  if (t.kind() == Term::Kind::kInteger) {
-    const int64_t i = t.integer();
-    if (i <= -kExactCastBound || i >= kExactCastBound) ++huge_ints_;
-    if (numeric_alias_.load(std::memory_order_relaxed)) return;
-    // operator== compares mixed numerics after widening the integer to
-    // double, so every double equal to integer i is exactly (double)i —
-    // one probe is complete at any magnitude. -0.0 interns apart from 0.0
-    // (bit-pattern identity) yet compares equal, hence the extra probe.
-    if (ids_.count(Term::Double(static_cast<double>(i))) > 0 ||
-        (i == 0 && ids_.count(Term::Double(-0.0)) > 0)) {
-      numeric_alias_.store(true, std::memory_order_release);
-    }
-    return;
-  }
-  if (t.kind() != Term::Kind::kDouble) return;
-  const double d = t.dbl();
-  if (!std::isfinite(d) || d != std::floor(d)) return;  // no integer equals it
-  if (d > -static_cast<double>(kExactCastBound) &&
-      d < static_cast<double>(kExactCastBound)) {
-    if (numeric_alias_.load(std::memory_order_relaxed)) return;
-    if (ids_.count(Term::Integer(static_cast<int64_t>(d))) > 0 ||
-        (d == 0.0 &&
-         ids_.count(Term::Double(DoubleBits(d) == DoubleBits(0.0) ? -0.0
-                                                                  : 0.0)) >
-             0)) {
-      numeric_alias_.store(true, std::memory_order_release);
-    }
-    return;
-  }
-  // Integral double at or past 2^53 (and within the int64 span, else no
-  // integer can equal it): a whole range of integers widens to this value,
-  // so probing the single back-cast candidate would miss aliases like
-  // 9007199254740993 vs 9007199254740992.0. Flag conservatively whenever
-  // any such integer is interned; data this large is vanishingly rare.
-  if (d >= -9223372036854775808.0 && d < 9223372036854775808.0 &&
-      huge_ints_ > 0) {
-    numeric_alias_.store(true, std::memory_order_release);
-  }
 }
 
 uint32_t TermDictionary::Intern(const Term& t) {
@@ -198,11 +113,7 @@ uint32_t TermDictionary::Intern(const Term& t) {
   }
   chunk_store_[chunk][id & kChunkMask] = t;
 
-  DetectAlias(t);
   string_bytes_.fetch_add(TermStringBytes(t), std::memory_order_relaxed);
-  if (t.kind() == Term::Kind::kArray) {
-    array_terms_.fetch_add(1, std::memory_order_release);
-  }
   ids_.emplace(t, id);
   // Publish the ID last: any channel that hands this ID to a reader is
   // itself ordered after the critical section, so the slot write above is
@@ -223,12 +134,9 @@ void TermDictionary::Clear() {
   ids_.clear();
   chunk_store_.clear();
   dirs_.clear();
-  huge_ints_ = 0;
   dir_.store(nullptr, std::memory_order_release);
   size_.store(0, std::memory_order_release);
-  array_terms_.store(0, std::memory_order_relaxed);
   string_bytes_.store(0, std::memory_order_relaxed);
-  numeric_alias_.store(false, std::memory_order_relaxed);
 }
 
 }  // namespace scisparql

@@ -14,23 +14,23 @@
 
 namespace scisparql {
 
-/// Interned term dictionary: a bijection between RDF terms and dense
-/// fixed-width 32-bit IDs, in the style of RDF-3X's DictionarySegment. The
-/// graph interns every term at insertion time — including delta-admitted
-/// triples under concurrent writes — so triples can be mirrored as ID
-/// tuples and joins can run over integers instead of string-bearing Terms;
-/// results materialize back through `term(id)`.
+/// Interned term dictionary: a bijection between RDF terms (up to
+/// Term::Identical) and dense fixed-width 32-bit IDs, in the style of
+/// RDF-3X's DictionarySegment. The graph interns every term at insertion
+/// time — including delta-admitted triples under concurrent writes — so
+/// triples can be mirrored as ID tuples and joins can run over integers
+/// instead of string-bearing Terms; results materialize back through
+/// `term(id)`.
 ///
-/// Interning is by *exact* term identity (kind plus all fields), not by
-/// Term::operator== value equality: the integer 2 and the double 2.0 are
-/// distinct dictionary entries even though `2 == 2.0` under SPARQL numeric
-/// comparison, and arrays intern by object identity (no materialization).
-/// This keeps the dictionary lossless — a term round-trips through its ID
-/// bit-for-bit, which snapshot encoding depends on — at the cost of the ID
-/// space not being usable as a value-equality join key when a graph mixes
-/// representations. The `join_safe()` flag reports exactly that: the
-/// executor's ID-join fast path only engages when ID equality and term
-/// equality coincide for every interned term.
+/// Interning is by Term::Identical, so ID equality *is* triple-component
+/// equality: numerics intern by exact mathematical value (the integer 2
+/// and the double 2.0 share one ID, 2^53+1 and 2^53 as a double do not,
+/// both zeros share one, all NaNs share one), and the term an ID resolves
+/// to is the first form interned for that value — which is the form the
+/// graph stores and every read returns. Arrays are the one exception:
+/// they intern by object identity (no materialization), so two
+/// value-equal array objects hold two IDs; the graph and the executor
+/// compare array *constants* by value on top of that.
 ///
 /// Thread safety: writers (Intern) serialize behind an internal mutex and
 /// may run concurrently with any number of readers. Find takes the mutex
@@ -44,12 +44,6 @@ namespace scisparql {
 class TermDictionary {
  public:
   static constexpr uint32_t kNoId = 0xFFFFFFFFu;
-
-  /// Largest magnitude at which int64 -> double -> int64 is the identity:
-  /// beyond 2^53 several integers widen to the same double, so cast-based
-  /// alias probes stop being injective. Shared by Intern's alias detection
-  /// and the executor's constant lowering.
-  static constexpr int64_t kExactCastBound = int64_t{1} << 53;
 
   TermDictionary();
   ~TermDictionary();
@@ -82,29 +76,6 @@ class TermDictionary {
   /// term(id) references must have drained.
   void Clear();
 
-  /// Number of interned array terms. Arrays intern by object identity, so
-  /// their IDs do not respect the element-wise value equality Term defines.
-  size_t array_terms() const {
-    return array_terms_.load(std::memory_order_acquire);
-  }
-
-  /// True when some integer and some double intern to different IDs while
-  /// comparing equal under SPARQL numeric `=` (e.g. 2 and 2.0 both
-  /// present): ID-equality joins would miss cross-representation matches.
-  /// Past the 2^53 cast bound the detection is conservative — any integral
-  /// double coexisting with any |i| >= 2^53 integer raises the flag, since
-  /// enumerating the whole range of integers that widen to one such double
-  /// is infeasible.
-  bool has_numeric_alias() const {
-    return numeric_alias_.load(std::memory_order_acquire);
-  }
-
-  /// ID equality coincides with Term equality for every interned term:
-  /// safe to evaluate joins over IDs. May flip true -> false at any time
-  /// under concurrent writers (never false -> true short of Clear), so the
-  /// ID-join path re-checks it after lowering its constants.
-  bool join_safe() const { return array_terms() == 0 && !has_numeric_alias(); }
-
   /// Heap string bytes (lexical forms, language tags, datatype IRIs) held
   /// by the interned terms — the dictionary-resident share of a result
   /// row's footprint, used by the result cache's byte accounting.
@@ -127,33 +98,25 @@ class TermDictionary {
     std::vector<Term*> chunks;
   };
 
-  struct ExactHash {
+  struct IdentityHash {
     size_t operator()(const Term& t) const;
   };
-  struct ExactEq {
+  struct IdentityEq {
     bool operator()(const Term& a, const Term& b) const;
   };
-
-  /// Numeric-alias bookkeeping for a term about to be inserted; runs under
-  /// the writer lock, before the ID is published.
-  void DetectAlias(const Term& t);
 
   void MoveFrom(TermDictionary&& o);
   void Reset();
 
   mutable std::shared_mutex mu_;
-  std::unordered_map<Term, uint32_t, ExactHash, ExactEq> ids_;  // guarded by mu_
-  std::vector<std::unique_ptr<Term[]>> chunk_store_;            // guarded by mu_
-  std::vector<std::unique_ptr<ChunkDir>> dirs_;                 // guarded by mu_
-  /// Count of interned integers with |i| >= 2^53 (see has_numeric_alias);
-  /// guarded by mu_.
-  size_t huge_ints_ = 0;
+  std::unordered_map<Term, uint32_t, IdentityHash, IdentityEq>
+      ids_;                                           // guarded by mu_
+  std::vector<std::unique_ptr<Term[]>> chunk_store_;  // guarded by mu_
+  std::vector<std::unique_ptr<ChunkDir>> dirs_;       // guarded by mu_
 
   std::atomic<const ChunkDir*> dir_{nullptr};
   std::atomic<size_t> size_{0};
-  std::atomic<size_t> array_terms_{0};
   std::atomic<size_t> string_bytes_{0};
-  std::atomic<bool> numeric_alias_{false};
 };
 
 /// Heap string bytes owned by one term (0 for numerics/booleans; array

@@ -128,32 +128,50 @@ Graph::ApplyResult Graph::ApplyBase(WriteBatch&& batch,
   return res;
 }
 
-Graph::DeltaCell& Graph::DeltaCellFor(const Triple& t) {
-  auto [it, fresh] = delta_->cells.try_emplace(t);
-  if (fresh) {
-    // First touch of this triple: intern its terms now — before the
-    // batch's epoch is published — so readers that captured a snapshot
-    // covering this batch can resolve its constants through the
-    // dictionary, and mirror the cell into the per-permutation sorted
-    // runs the ID-join executor merges with the base permutations.
-    // Insertion keeps each run sorted; the compactor bounds the delta, so
-    // the O(delta) splice stays cheap relative to the batch itself.
-    DeltaRunEntry e;
-    e.ids = IdTriple{dict_.Intern(t.s), dict_.Intern(t.p), dict_.Intern(t.o)};
-    e.cell = &it->second;
-    auto splice = [&e](Perm perm, std::vector<DeltaRunEntry>* run) {
-      auto pos = std::upper_bound(
-          run->begin(), run->end(), e,
-          [perm](const DeltaRunEntry& a, const DeltaRunEntry& b) {
-            return PermKey(perm, a.ids) < PermKey(perm, b.ids);
-          });
-      run->insert(pos, e);
-    };
-    splice(Perm::kSpo, &delta_->run_spo);
-    splice(Perm::kPos, &delta_->run_pos);
-    splice(Perm::kOsp, &delta_->run_osp);
+void Graph::UseDictForms(Triple* t, const IdTriple& ids) const {
+  if (t->s.IsNumeric()) t->s = dict_.term(ids.s);
+  if (t->p.IsNumeric()) t->p = dict_.term(ids.p);
+  if (t->o.IsNumeric()) t->o = dict_.term(ids.o);
+}
+
+Graph::DeltaCells::value_type& Graph::DeltaCellFor(const Triple& t) {
+  auto it = delta_->cells.find(t);
+  if (it != delta_->cells.end()) return *it;
+  // First touch of this triple: intern its terms now — before the batch's
+  // epoch is published — so readers that captured a snapshot covering
+  // this batch can resolve its constants through the dictionary, key the
+  // cell by the stored forms, and mirror it into the per-permutation
+  // sorted runs the ID-join executor merges with the base permutations.
+  // Insertion keeps each run sorted; the compactor bounds the delta, so
+  // the O(delta) splice stays cheap relative to the batch itself.
+  Triple key = t;
+  if (t.s.IsArray() || t.p.IsArray() || t.o.IsArray()) {
+    // Arrays intern by object identity: adopt the array objects of a
+    // value-equal base copy, so this cell's ID tuple is that copy's and a
+    // tombstone in the ID runs suppresses exactly it.
+    ScanBase(t.s, t.p, t.o, [&key](const Triple& b) {
+      key = b;
+      return false;
+    });
   }
-  return it->second;
+  DeltaRunEntry e;
+  e.ids = IdTriple{dict_.Intern(key.s), dict_.Intern(key.p),
+                   dict_.Intern(key.o)};
+  UseDictForms(&key, e.ids);
+  it = delta_->cells.emplace(std::move(key), DeltaCell{}).first;
+  e.cell = &it->second;
+  auto splice = [&e](Perm perm, std::vector<DeltaRunEntry>* run) {
+    auto pos = std::upper_bound(
+        run->begin(), run->end(), e,
+        [perm](const DeltaRunEntry& a, const DeltaRunEntry& b) {
+          return PermKey(perm, a.ids) < PermKey(perm, b.ids);
+        });
+    run->insert(pos, e);
+  };
+  splice(Perm::kSpo, &delta_->run_spo);
+  splice(Perm::kPos, &delta_->run_pos);
+  splice(Perm::kOsp, &delta_->run_osp);
+  return *it;
 }
 
 Graph::ApplyResult Graph::ApplyDelta(WriteBatch&& batch,
@@ -189,13 +207,14 @@ Graph::ApplyResult Graph::ApplyDelta(WriteBatch&& batch,
         }
       }
       if (adds > 0 || (!cleared && BaseContains(op.t))) continue;
-      DeltaCellFor(op.t).ops.push_back(DeltaOp{epoch, true});
+      auto& [stored, cell] = DeltaCellFor(op.t);
+      cell.ops.push_back(DeltaOp{epoch, true});
       ++new_ops;
       ++res.added;
-      if (listener_.ptr != nullptr) listener_.ptr->OnAdd(op.t);
-      if (observer != nullptr) observer->OnAdd(op.t);
+      if (listener_.ptr != nullptr) listener_.ptr->OnAdd(stored);
+      if (observer != nullptr) observer->OnAdd(stored);
     } else {
-      DeltaCell& cell = DeltaCellFor(op.t);
+      auto& [stored, cell] = DeltaCellFor(op.t);
       size_t adds = 0;
       bool cleared = false;
       for (const DeltaOp& d : cell.ops) {
@@ -206,13 +225,13 @@ Graph::ApplyResult Graph::ApplyDelta(WriteBatch&& batch,
           cleared = true;
         }
       }
-      size_t m = adds + (cleared ? 0 : BaseMultiplicity(op.t));
+      size_t m = adds + (cleared ? 0 : BaseMultiplicity(stored));
       cell.ops.push_back(DeltaOp{epoch, false});
       ++new_ops;
       res.removed += static_cast<int64_t>(m);
       for (size_t i = 0; i < m; ++i) {
-        if (listener_.ptr != nullptr) listener_.ptr->OnRemove(op.t);
-        if (observer != nullptr) observer->OnRemove(op.t);
+        if (listener_.ptr != nullptr) listener_.ptr->OnRemove(stored);
+        if (observer != nullptr) observer->OnRemove(stored);
       }
     }
   }
@@ -225,6 +244,7 @@ Graph::ApplyResult Graph::ApplyDelta(WriteBatch&& batch,
 void Graph::AddBase(Triple t, GraphListener* observer) {
   id_triples_.push_back(
       IdTriple{dict_.Intern(t.s), dict_.Intern(t.p), dict_.Intern(t.o)});
+  UseDictForms(&t, id_triples_.back());
   live_set_.insert(id_triples_.back());
   version_.fetch_add(1, std::memory_order_release);
   ++table_stamp_;
@@ -276,7 +296,7 @@ void Graph::Clear() {
 
 size_t Graph::FoldDelta() {
   if (!delta_ || delta_ops_.load(std::memory_order_acquire) == 0) return 0;
-  std::unordered_map<Triple, DeltaCell, TripleHash> cells;
+  DeltaCells cells;
   size_t folded;
   {
     std::lock_guard<std::mutex> lock(delta_->mu);
@@ -290,7 +310,7 @@ size_t Graph::FoldDelta() {
     folded = delta_ops_.exchange(0, std::memory_order_acq_rel);
   }
   // Resolve each cell to its final state. Tombstones only ever target
-  // copies of the same (value-equal) triple, so per-cell resolution is
+  // copies of the same (identical) triple, so per-cell resolution is
   // order-exact even though cross-cell order is not preserved.
   std::unordered_set<Triple, TripleHash> tombstoned;
   std::vector<std::pair<const Triple*, size_t>> appends;
@@ -362,7 +382,7 @@ void Graph::MaybeCompact() {
 namespace {
 
 bool TermMatches(const Term& pattern, const Term& value) {
-  return pattern.IsUndef() || pattern == value;
+  return pattern.IsUndef() || Term::Identical(pattern, value);
 }
 
 /// Triple-scan counters, shared by every graph in the process. The per-row
@@ -415,39 +435,25 @@ bool Graph::BaseContains(const Triple& t) const {
   // live-row hash set instead of the permutation indexes — a stale index
   // cache would force a full rebuild here, which a one-triple Apply
   // (Graph::Add, per-statement INSERT) cannot afford on every call.
-  // The fallback scans the base table directly (never Contains/Match:
-  // ApplyDelta calls this holding the delta mutex, and the delta
-  // snapshot inside Match takes that same mutex).
-  auto base_scan = [this, &t]() {
-    bool found = false;
-    ScanBase(t.s, t.p, t.o, [&found](const Triple&) {
-      found = true;
-      return false;
-    });
-    return found;
-  };
   IdTriple ids;
   const Term* terms[3] = {&t.s, &t.p, &t.o};
   uint32_t* slots[3] = {&ids.s, &ids.p, &ids.o};
   for (int i = 0; i < 3; ++i) {
-    std::optional<uint32_t> id = dict_.Find(*terms[i]);
-    if (id.has_value()) {
-      if ((terms[i]->IsNumeric() && dict_.has_numeric_alias()) ||
-          terms[i]->IsArray()) {
-        // The ID does not speak for the term's whole value class: a
-        // value-equal copy may live under another ID. Filtered scan.
-        return base_scan();
-      }
-      *slots[i] = *id;
-    } else {
-      if (terms[i]->IsNumeric() || terms[i]->IsArray()) {
-        // Not interned, but a value-equal representation might be (2 vs
-        // 2.0, identity-interned arrays). Happens at most once per
-        // distinct value — the add that follows interns it.
-        return base_scan();
-      }
-      return false;  // exact-identity kind, never interned: absent
+    if (terms[i]->IsArray()) {
+      // Identity-interned: a value-equal copy may live under another ID.
+      // Filtered scan of the base table directly (never Contains/Match:
+      // ApplyDelta calls this holding the delta mutex, and the delta
+      // snapshot inside Match takes that same mutex).
+      bool found = false;
+      ScanBase(t.s, t.p, t.o, [&found](const Triple&) {
+        found = true;
+        return false;
+      });
+      return found;
     }
+    std::optional<uint32_t> id = dict_.Find(*terms[i]);
+    if (!id.has_value()) return false;  // never interned: absent
+    *slots[i] = *id;
   }
   return live_set_.count(ids) > 0;
 }
@@ -526,27 +532,19 @@ bool Graph::ScanBase(const Term& s, const Term& p, const Term& o,
   bool id_ok = have_s || have_p || have_o;
   uint32_t sid = 0, pid = 0, oid = 0;
   if (id_ok) {
-    // A dictionary hit pins a constant to one ID — range-exact unless
-    // other interned terms can be value-equal under a different ID
-    // (numeric aliasing, arrays interned by object identity). A miss
-    // proves absence for exact-identity kinds; numerics and arrays may
-    // still value-match a differently represented interned term, so they
-    // fall back to the filtered scan.
+    // A dictionary hit pins a constant to one ID and a miss proves
+    // absence — except for arrays, which intern by object identity: a
+    // value-equal array may hold another ID, so they take the filtered
+    // scan.
     auto resolve = [&](const Term& t, uint32_t* out_id) -> bool {
-      std::optional<uint32_t> id = dict_.Find(t);
-      if (id.has_value()) {
-        if ((t.IsNumeric() && dict_.has_numeric_alias()) || t.IsArray()) {
-          id_ok = false;
-          return true;
-        }
-        *out_id = *id;
-        return true;
-      }
-      if (t.IsNumeric() || t.IsArray()) {
+      if (t.IsArray()) {
         id_ok = false;
         return true;
       }
-      return false;  // definitively no base matches
+      std::optional<uint32_t> id = dict_.Find(t);
+      if (!id.has_value()) return false;  // definitively no base matches
+      *out_id = *id;
+      return true;
     };
     if (have_s && !resolve(s, &sid)) return true;
     if (have_p && !resolve(p, &pid)) return true;
@@ -582,8 +580,7 @@ bool Graph::ScanBase(const Term& s, const Term& p, const Term& o,
     return true;
   }
 
-  // Filtered table scan: all-wildcard patterns and constants the
-  // dictionary cannot pin to a single ID.
+  // Filtered table scan: all-wildcard patterns and array constants.
   for (size_t i = 0; i < triples_.size(); ++i) {
     if (dead_[i]) continue;
     const Triple& t = triples_[i];
@@ -669,8 +666,8 @@ int64_t Graph::EstimateMatches(const std::optional<Term>& s,
   if (!have_s && !have_p && !have_o) {
     base = static_cast<int64_t>(triples_.size() - dead_count_);
   } else {
-    // Resolve constants to IDs; a miss (or an alias-prone kind) estimates
-    // zero for that constant — estimates need not chase value aliases.
+    // Resolve constants to IDs; a miss estimates zero for that constant —
+    // estimates need not chase value-equal array objects.
     uint32_t sid = 0, pid = 0, oid = 0;
     bool resolved = true;
     auto resolve = [&](const Term& t, uint32_t* out_id) {

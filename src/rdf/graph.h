@@ -276,8 +276,7 @@ class Graph {
     bool is_add;
   };
 
-  /// Per-triple delta cell: the ops touching one (value-equal) triple, in
-  /// commit order.
+  /// Per-triple delta cell: the ops touching one triple, in commit order.
   struct DeltaCell {
     std::vector<DeltaOp> ops;
   };
@@ -291,16 +290,17 @@ class Graph {
     const DeltaCell* cell = nullptr;
   };
 
-  /// The differential index. Keyed by triple value equality — the same
-  /// equality Remove and Match use. Guarded by `mu`; writers hold it for
-  /// the whole batch (batch atomicity), readers only long enough to copy
-  /// the matching cells out. The runs mirror `cells` sorted per
-  /// permutation key order (one entry per distinct triple), kept in step
-  /// by Apply so SnapshotDeltaIds can emit merge-ready runs without
-  /// sorting on the read path.
+  /// The differential index. Keyed by Triple::operator== — the same
+  /// equality Remove and Match use — with each key in its stored form.
+  /// Guarded by `mu`; writers hold it for the whole batch (batch
+  /// atomicity), readers only long enough to copy the matching cells out.
+  /// The runs mirror `cells` sorted per permutation key order (one entry
+  /// per distinct triple), kept in step by Apply so SnapshotDeltaIds can
+  /// emit merge-ready runs without sorting on the read path.
+  using DeltaCells = std::unordered_map<Triple, DeltaCell, TripleHash>;
   struct DeltaState {
     mutable std::mutex mu;
-    std::unordered_map<Triple, DeltaCell, TripleHash> cells;
+    DeltaCells cells;
     std::vector<DeltaRunEntry> run_spo;
     std::vector<DeltaRunEntry> run_pos;
     std::vector<DeltaRunEntry> run_osp;
@@ -319,21 +319,26 @@ class Graph {
   ApplyResult ApplyBase(WriteBatch&& batch, GraphListener* observer);
   ApplyResult ApplyDelta(WriteBatch&& batch, GraphListener* observer);
 
-  /// The delta cell for `t`, creating it on first touch — which interns
-  /// the triple's terms and splices the cell into the sorted ID runs.
-  /// Caller holds the delta mutex.
-  DeltaCell& DeltaCellFor(const Triple& t);
+  /// Replaces each numeric component of `t` with the dictionary's form of
+  /// its value (the first form interned), so every read path — base
+  /// rows, delta cells, ID materialization — returns one lexical form.
+  void UseDictForms(Triple* t, const IdTriple& ids) const;
 
-  /// Copies of `t` (value equality) live in the base table.
+  /// The delta cell for `t` (key: the stored form of the triple),
+  /// creating it on first touch — which interns the triple's terms and
+  /// splices the cell into the sorted ID runs. Caller holds the delta
+  /// mutex.
+  DeltaCells::value_type& DeltaCellFor(const Triple& t);
+
+  /// Copies of `t` live in the base table.
   size_t BaseMultiplicity(const Triple& t) const;
 
-  /// Whether a copy of `t` (value equality) is live in the base table.
-  /// O(1) via the live-row hash set when the dictionary pins all three
-  /// terms exactly (same rules as ScanBase's constant resolution); falls
-  /// back to a filtered table scan — never an index rebuild — for
-  /// aliasing-prone or not-yet-interned numeric/array terms. This is
-  /// what keeps Apply's set-semantics precheck cheap for the
-  /// one-triple-per-batch paths (Graph::Add, per-statement INSERT).
+  /// Whether a copy of `t` is live in the base table. O(1) via the
+  /// live-row hash set (same rules as ScanBase's constant resolution);
+  /// a triple holding an array falls back to a filtered table scan —
+  /// never an index rebuild. This is what keeps Apply's set-semantics
+  /// precheck cheap for the one-triple-per-batch paths (Graph::Add,
+  /// per-statement INSERT).
   bool BaseContains(const Triple& t) const;
 
   /// Resolves every delta cell matching the pattern at `snapshot` into
@@ -342,8 +347,8 @@ class Graph {
                      const Term& o, std::vector<ResolvedCell>* out) const;
 
   /// Scans base-table triples matching the pattern (permutation prefix
-  /// range when the constants resolve in the dictionary, filtered table
-  /// scan otherwise). Returns false if the callback stopped the scan.
+  /// range, or a filtered table scan for all-wildcard patterns and array
+  /// constants). Returns false if the callback stopped the scan.
   bool ScanBase(const Term& s, const Term& p, const Term& o,
                 const std::function<bool(const Triple&)>& cb) const;
 

@@ -1,5 +1,6 @@
 #include "rdf/term.h"
 
+#include <cmath>
 #include <functional>
 
 #include "common/string_util.h"
@@ -138,6 +139,21 @@ bool Term::operator==(const Term& other) const {
   }
 }
 
+bool Term::Identical(const Term& a, const Term& b) {
+  if (!a.IsNumeric() || !b.IsNumeric()) return a == b;
+  if (a.kind_ == Kind::kInteger && b.kind_ == Kind::kInteger) {
+    return a.int_ == b.int_;
+  }
+  if (a.kind_ == Kind::kDouble && b.kind_ == Kind::kDouble) {
+    return a.dbl_ == b.dbl_ || (std::isnan(a.dbl_) && std::isnan(b.dbl_));
+  }
+  const int64_t i = a.kind_ == Kind::kInteger ? a.int_ : b.int_;
+  const double d = a.kind_ == Kind::kDouble ? a.dbl_ : b.dbl_;
+  // The range test keeps the cast defined; 2^63 itself is out of range.
+  return d == std::trunc(d) && d >= -9223372036854775808.0 &&
+         d < 9223372036854775808.0 && static_cast<int64_t>(d) == i;
+}
+
 namespace {
 
 /// Rank of a term kind in the SPARQL ORDER BY total order.
@@ -216,11 +232,14 @@ size_t Term::Hash() const {
       return h;
     case Kind::kInteger:
       // Hash numerics by double value so 2 and 2.0 land in one bucket,
-      // consistent with operator==.
+      // consistent with operator== and Identical (std::hash maps both
+      // zeros to one value; NaNs are folded to one payload here).
       return HashCombine(std::hash<int>()(99),
                          std::hash<double>()(static_cast<double>(int_)));
     case Kind::kDouble:
-      return HashCombine(std::hash<int>()(99), std::hash<double>()(dbl_));
+      return HashCombine(
+          std::hash<int>()(99),
+          std::hash<double>()(std::isnan(dbl_) ? std::nan("") : dbl_));
     case Kind::kBoolean:
       return HashCombine(h, std::hash<bool>()(bool_));
     case Kind::kArray: {

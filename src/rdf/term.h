@@ -86,6 +86,17 @@ class Term {
   bool operator==(const Term& other) const;
   bool operator!=(const Term& other) const { return !(*this == other); }
 
+  /// Term identity as a triple component: what BGP matching, graph set
+  /// semantics and the term dictionary key on. Numerics are identical iff
+  /// they denote the same mathematical value — an integer and a double
+  /// only when the double is integral, within int64 and exactly equal, so
+  /// 2 and 2.0 are one value but 2^53+1 and 2^53 (as a double) are not;
+  /// 0.0 and -0.0 are one value, and all NaNs are one value. Unlike
+  /// operator== (FILTER `=`), no integer is ever widened to double, so the
+  /// relation is transitive. Every other kind compares as operator==
+  /// does. Consistent with Hash().
+  static bool Identical(const Term& a, const Term& b);
+
   /// Total order used by ORDER BY (SPARQL 15.1): Undef < Blank < IRI <
   /// literals; numerics by value, strings lexically. Arrays sort after all
   /// other literals, by first differing element.

@@ -15,14 +15,16 @@ struct Triple {
   Term p;
   Term o;
 
+  /// Component-wise Term::Identical: the set-semantics equality of a
+  /// graph, under which 2 and 2.0 are one triple component.
   bool operator==(const Triple& other) const {
-    return s == other.s && p == other.p && o == other.o;
+    return Term::Identical(s, other.s) && Term::Identical(p, other.p) &&
+           Term::Identical(o, other.o);
   }
   std::string ToString() const;
 };
 
-/// Value-equality hash for Triple, consistent with Triple::operator==
-/// (which compares Terms by SPARQL value equality, e.g. 2 == 2.0).
+/// Hash consistent with Triple::operator== (Term::Hash per component).
 struct TripleHash {
   size_t operator()(const Triple& t) const;
 };

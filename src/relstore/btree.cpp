@@ -1,6 +1,7 @@
 #include "relstore/btree.h"
 
 #include <cstring>
+#include <vector>
 
 namespace scisparql {
 namespace relstore {
@@ -52,6 +53,27 @@ size_t LeafMax(uint32_t page_size) {
 }
 size_t InternalMax(uint32_t page_size) {
   return (page_size - kHeaderSize) / kInternalEntry;
+}
+
+/// Inserts the `width`-byte `entry` at slot `pos` of a node holding `n`
+/// entries. A node with room takes it in place and returns true; a full
+/// one is left untouched, and `merged` receives all n + 1 entries in order
+/// for the caller to split — the page has no room for slot n.
+bool InsertEntry(uint8_t* p, size_t n, size_t max, size_t pos, size_t width,
+                 const uint8_t* entry, std::vector<uint8_t>* merged) {
+  uint8_t* at = p + kHeaderSize + pos * width;
+  const size_t tail = (n - pos) * width;
+  if (n < max) {
+    std::memmove(at + width, at, tail);
+    std::memcpy(at, entry, width);
+    SetCount(p, static_cast<uint16_t>(n + 1));
+    return true;
+  }
+  merged->resize((n + 1) * width);
+  std::memcpy(merged->data(), p + kHeaderSize, pos * width);
+  std::memcpy(merged->data() + pos * width, entry, width);
+  std::memcpy(merged->data() + (pos + 1) * width, at, tail);
+  return false;
 }
 
 void InitNode(uint8_t* p, uint8_t type, uint32_t page_size) {
@@ -115,26 +137,27 @@ Result<BTree::SplitResult> BTree::InsertRec(PageId node, uint64_t key,
   SCISPARQL_ASSIGN_OR_RETURN(PageRef page, PageRef::Acquire(pool_, node));
   uint8_t* p = page.data();
 
+  std::vector<uint8_t> merged;
   if (NodeType(p) == kLeaf) {
     size_t n = Count(p);
-    size_t pos = LeafLowerBound(p, key);
-    // Shift and insert.
-    std::memmove(LeafEntry(p, pos + 1), LeafEntry(p, pos),
-                 (n - pos) * kLeafEntry);
-    StoreU64(LeafEntry(p, pos), key);
-    StoreU64(LeafEntry(p, pos) + 8, value);
-    SetCount(p, static_cast<uint16_t>(n + 1));
+    uint8_t entry[kLeafEntry];
+    StoreU64(entry, key);
+    StoreU64(entry + 8, value);
     page.MarkDirty();
+    if (InsertEntry(p, n, LeafMax(page_size), LeafLowerBound(p, key),
+                    kLeafEntry, entry, &merged)) {
+      return SplitResult{};
+    }
 
-    if (n + 1 <= LeafMax(page_size)) return SplitResult{};
-
-    // Split: right half moves to a new leaf.
+    // Split: the lower half of the n + 1 entries stays, the upper half
+    // moves to a new leaf.
     size_t total = n + 1;
     size_t keep = total / 2;
     PageId right_id = pool_->pager()->Allocate();
     SCISPARQL_ASSIGN_OR_RETURN(PageRef right, PageRef::Acquire(pool_, right_id));
     InitNode(right.data(), kLeaf, page_size);
-    std::memcpy(LeafEntry(right.data(), 0), LeafEntry(p, keep),
+    std::memcpy(LeafEntry(p, 0), merged.data(), keep * kLeafEntry);
+    std::memcpy(LeafEntry(right.data(), 0), merged.data() + keep * kLeafEntry,
                 (total - keep) * kLeafEntry);
     SetCount(right.data(), static_cast<uint16_t>(total - keep));
     SetAux(right.data(), Aux(p));  // chain: right inherits old next
@@ -166,26 +189,28 @@ Result<BTree::SplitResult> BTree::InsertRec(PageId node, uint64_t key,
   while (pos < n && LoadU64(InternalEntry(p, pos)) <= child_split.sep_key) {
     ++pos;
   }
-  std::memmove(InternalEntry(p, pos + 1), InternalEntry(p, pos),
-               (n - pos) * kInternalEntry);
-  StoreU64(InternalEntry(p, pos), child_split.sep_key);
-  StoreU32(InternalEntry(p, pos) + 8, child_split.right);
-  SetCount(p, static_cast<uint16_t>(n + 1));
+  uint8_t entry[kInternalEntry];
+  StoreU64(entry, child_split.sep_key);
+  StoreU32(entry + 8, child_split.right);
   repage.MarkDirty();
+  if (InsertEntry(p, n, InternalMax(page_size), pos, kInternalEntry, entry,
+                  &merged)) {
+    return SplitResult{};
+  }
 
-  if (n + 1 <= InternalMax(page_size)) return SplitResult{};
-
-  // Split the internal node: the median key moves up.
+  // Split the internal node: the median of the n + 1 keys moves up.
   size_t total = n + 1;
   size_t mid = total / 2;
-  uint64_t up_key = LoadU64(InternalEntry(p, mid));
-  uint32_t mid_child = LoadU32(InternalEntry(p, mid) + 8);
+  const uint8_t* median = merged.data() + mid * kInternalEntry;
+  uint64_t up_key = LoadU64(median);
+  uint32_t mid_child = LoadU32(median + 8);
 
   PageId right_id = pool_->pager()->Allocate();
   SCISPARQL_ASSIGN_OR_RETURN(PageRef right, PageRef::Acquire(pool_, right_id));
   InitNode(right.data(), kInternal, page_size);
   size_t right_count = total - mid - 1;
-  std::memcpy(InternalEntry(right.data(), 0), InternalEntry(p, mid + 1),
+  std::memcpy(InternalEntry(p, 0), merged.data(), mid * kInternalEntry);
+  std::memcpy(InternalEntry(right.data(), 0), median + kInternalEntry,
               right_count * kInternalEntry);
   SetCount(right.data(), static_cast<uint16_t>(right_count));
   SetAux(right.data(), mid_child);

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <charconv>
 #include <chrono>
-#include <cmath>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -961,10 +960,8 @@ class ExecImpl {
   /// permutation indexes (merge / hash joins instead of nested
   /// scan-and-bind), merging any pending delta at a snapshot epoch
   /// captured on entry. Returns nullopt when the fast path does not apply
-  /// — single pattern, property paths, a graph whose ID space is not
-  /// join-safe, a constant past the exact int<->double cast range, or an
-  /// intermediate result past the materialization cap — and the caller
-  /// falls back to scan-and-bind.
+  /// — single pattern, property paths, or an intermediate result past the
+  /// materialization cap — and the caller falls back to scan-and-bind.
   std::optional<Result<bool>> TryEvalBgpIds(
       const OrderedBgp& ordered, const std::vector<const TriplePattern*>& bgp,
       const std::vector<const ast::Expr*>& filters, State& st, const Cont& k) {
@@ -974,7 +971,6 @@ class ExecImpl {
       if (tp->path != nullptr) return std::nullopt;
     }
     const TermDictionary& dict = st.graph->dict();
-    if (!dict.join_safe()) return std::nullopt;
 
     // Pin the read snapshot *before* touching the dictionary or the
     // delta: writers intern a batch's terms and splice its delta cells
@@ -988,62 +984,18 @@ class ExecImpl {
 
     // Lower the patterns to the ID space: constants and already-bound
     // variables resolve through the dictionary, unbound variables get
-    // dense output slots.
+    // dense output slots. The dictionary interns by Term::Identical, so a
+    // resolved ID stands for exactly the triples the constant matches.
+    // Arrays are the exception — they intern by object identity — so an
+    // array constant (or outer-bound array value) becomes an anonymous
+    // slot whose bound term is checked by value after the join.
     std::vector<std::string> slot_vars;
     std::map<std::string, int> slot_of;
+    std::map<int, Term> residual;  // anonymous slot -> array it must equal
     bool missing_const = false;
-    bool lossy_const = false;
-    auto resolve_const = [&](const Term& t) -> uint32_t {
-      std::optional<uint32_t> id = dict.Find(t);
-      // Under join_safe() the graph holds at most one representation of
-      // any numeric value, but it may be the other kind than the query
-      // constant (2 matches a stored 2.0); probe the other exact kind.
-      // The probes cast across int64/double, which is only injective
-      // below 2^53 — past that, several integers widen to one double
-      // (9007199254740993 widens to 9007199254740992.0), so a cast-based
-      // probe could pin the constant to the ID of a merely-adjacent
-      // stored value or miss an equal one. Such constants mark the
-      // lowering lossy and the BGP falls back to term-space
-      // scan-and-bind, whose Term::operator== is authoritative.
-      if (!id.has_value() && t.kind() == Term::Kind::kInteger) {
-        const int64_t i = t.integer();
-        if (i > -TermDictionary::kExactCastBound &&
-            i < TermDictionary::kExactCastBound) {
-          id = dict.Find(Term::Double(static_cast<double>(i)));
-          // 0 and -0.0 compare equal but intern apart (bit identity).
-          if (!id.has_value() && i == 0) id = dict.Find(Term::Double(-0.0));
-        } else {
-          lossy_const = true;
-          return 0;
-        }
-      } else if (!id.has_value() && t.kind() == Term::Kind::kDouble) {
-        const double d = t.dbl();
-        if (d == std::floor(d) && std::isfinite(d)) {
-          if (d > -static_cast<double>(TermDictionary::kExactCastBound) &&
-              d < static_cast<double>(TermDictionary::kExactCastBound)) {
-            id = dict.Find(Term::Integer(static_cast<int64_t>(d)));
-            if (!id.has_value() && d == 0.0) {
-              id = dict.Find(Term::Double(std::signbit(d) ? 0.0 : -0.0));
-            }
-          } else if (d >= -9223372036854775808.0 &&
-                     d < 9223372036854775808.0) {
-            // Integral double past 2^53 but within the int64 span: a
-            // whole range of integers compares equal to it.
-            lossy_const = true;
-            return 0;
-          }
-          // Past the int64 span no integer can equal it: an exact miss
-          // is a definitive miss.
-        }
-      }
-      if (!id.has_value()) {
-        missing_const = true;
-        return 0;
-      }
-      return *id;
-    };
     auto lower = [&](const VarOrTerm& vt) -> IdSlot {
       IdSlot s;
+      const Term* value = &vt.term;
       if (vt.is_var) {
         auto bound = st.binding.find(vt.var);
         if (bound == st.binding.end()) {
@@ -1054,10 +1006,21 @@ class ExecImpl {
           s.slot = it->second;
           return s;
         }
-        s.const_id = resolve_const(bound->second);
+        value = &bound->second;
+      }
+      if (value->IsArray()) {
+        s.is_var = true;
+        s.slot = static_cast<int>(slot_vars.size());
+        slot_vars.emplace_back();
+        residual.emplace(s.slot, *value);
         return s;
       }
-      s.const_id = resolve_const(vt.term);
+      std::optional<uint32_t> id = dict.Find(*value);
+      if (!id.has_value()) {
+        missing_const = true;
+        return s;
+      }
+      s.const_id = *id;
       return s;
     };
     std::vector<IdPattern> pats;
@@ -1069,7 +1032,6 @@ class ExecImpl {
       p.o = lower(tp->o);
       pats.push_back(p);
     }
-    if (lossy_const) return std::nullopt;
     if (missing_const) {
       // A constant absent from the dictionary occurs in no triple — delta
       // triples included, since Apply interns them before publishing
@@ -1077,12 +1039,6 @@ class ExecImpl {
       // the BGP has zero solutions and evaluation simply continues.
       return Result<bool>(true);
     }
-    // Re-check join safety: a writer may have interned an aliasing
-    // numeric (or an array term) since the entry check, in which case the
-    // IDs just resolved are no longer trustworthy equality witnesses. The
-    // flag only ever flips towards unsafe, so passing here proves every
-    // Find above ran against an alias-free dictionary.
-    if (!dict.join_safe()) return std::nullopt;
 
     const IdIndexes& idx = st.graph->EnsureIdIndexes();
     // A batch committing between the snapshot capture above and this
@@ -1108,41 +1064,50 @@ class ExecImpl {
 
     // Emit the solutions: bind the slot variables through pre-inserted
     // map cells (Binding is node-based, so the iterators survive whatever
-    // the continuation does to other keys), then apply every pushed
-    // filter — the same end-of-BGP accept/reject state scan-and-bind
-    // reaches, since EvalFilter maps evaluation errors to rejection.
-    std::vector<Binding::iterator> cells;
-    cells.reserve(res.slots.size());
-    for (int slot : res.slots) {
-      cells.push_back(
-          st.binding.emplace(slot_vars[static_cast<size_t>(slot)], Term())
-              .first);
+    // the continuation does to other keys), check the array residuals,
+    // then apply every pushed filter — the same end-of-BGP accept/reject
+    // state scan-and-bind reaches, since EvalFilter maps evaluation
+    // errors to rejection.
+    const size_t stride = res.slots.size();
+    std::vector<Binding::iterator> cells(stride);
+    std::vector<const Term*> must_equal(stride, nullptr);
+    for (size_t c = 0; c < stride; ++c) {
+      auto r = residual.find(res.slots[c]);
+      if (r != residual.end()) {
+        must_equal[c] = &r->second;
+      } else {
+        cells[c] = st.binding
+                       .emplace(slot_vars[static_cast<size_t>(res.slots[c])],
+                                Term())
+                       .first;
+      }
     }
     bool keep_going = true;
     Status inner = Status::OK();
-    const size_t stride = res.slots.size();
     for (size_t r = 0; r < res.rows && keep_going; ++r) {
       Status alive = CheckInterrupt();
       if (!alive.ok()) {
         inner = alive;
         break;
       }
-      for (size_t c = 0; c < stride; ++c) {
-        cells[c]->second = dict.term(res.data[r * stride + c]);
-      }
       bool pass = true;
-      for (const ast::Expr* f : filters) {
-        Result<bool> pb = EvalFilter(*f, st);
+      for (size_t c = 0; c < stride && pass; ++c) {
+        const Term& t = dict.term(res.data[r * stride + c]);
+        if (must_equal[c] != nullptr) {
+          pass = t == *must_equal[c];
+        } else {
+          cells[c]->second = t;
+        }
+      }
+      for (size_t f = 0; f < filters.size() && pass; ++f) {
+        Result<bool> pb = EvalFilter(*filters[f], st);
         if (!pb.ok()) {
           inner = pb.status();
           keep_going = false;
           pass = false;
           break;
         }
-        if (!*pb) {
-          pass = false;
-          break;
-        }
+        pass = *pb;
       }
       if (!pass) continue;
       Result<bool> kr = k();
@@ -1152,8 +1117,8 @@ class ExecImpl {
       }
       if (!*kr) keep_going = false;
     }
-    for (int slot : res.slots) {
-      st.binding.erase(slot_vars[static_cast<size_t>(slot)]);
+    for (size_t c = 0; c < stride; ++c) {
+      if (must_equal[c] == nullptr) st.binding.erase(cells[c]);
     }
     if (!inner.ok()) return Result<bool>(inner);
     return Result<bool>(keep_going);

@@ -58,10 +58,10 @@ struct ExecOptions {
   /// Hoist FILTERs to the earliest point where their variables are bound.
   bool push_filters = true;
 
-  /// Evaluate multi-pattern BGPs over the dictionary-ID permutation
-  /// indexes — prefix-range index scans combined by merge / hash joins —
-  /// whenever the graph's ID space is join-safe (no arrays, no mixed
-  /// numeric representations). Off = always scan-and-bind.
+  /// Evaluate multi-pattern BGPs (no property paths) over the
+  /// dictionary-ID permutation indexes — prefix-range index scans
+  /// combined by merge / hash joins. Off = always scan-and-bind, the
+  /// reference the equivalence tests compare against.
   bool use_id_joins = true;
 
   /// Row cap for ID-join intermediate results. Past it the BGP falls back

@@ -124,9 +124,10 @@ void RunScan(const IdIndexes& idx, const DeltaIdRuns* delta,
 
   // Two-run merge in permutation key order. A permutation key is a
   // bijective rearrangement of the triple's components, so equal keys mean
-  // equal ID tuples — and, under join_safe(), equal triples — which makes
-  // tombstone suppression exact: a cleared delta entry swallows precisely
-  // the base copies of its own triple.
+  // equal ID tuples — and, the dictionary being value-canonical, equal
+  // triples (a delta cell holding an array adopts the base copy's array
+  // IDs) — which makes tombstone suppression exact: a cleared delta entry
+  // swallows precisely the base copies of its own triple.
   const std::vector<DeltaIdEntry>& d = delta->run(sp.perm);
   auto [dlo, dhi] = DeltaPrefixRange(d, sp.perm, sp.key, sp.n_fixed);
   *scanned = (hi - lo) + (dhi - dlo);

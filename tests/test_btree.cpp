@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -174,6 +176,75 @@ TEST_P(InsertOrderSweep, FullScanSorted) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Orders, InsertOrderSweep, ::testing::Values(0, 1, 2));
+
+/// Nodes filled to exactly their capacity, then split by one more entry:
+/// on 4 KiB pages a leaf holds (4096 - 8) / 16 = 255 entries and an
+/// internal node (4096 - 8) / 12 = 340 separators.
+constexpr uint32_t kSmallPage = 4096;
+constexpr uint64_t kLeafMax = 255;
+constexpr uint64_t kInternalMax = 340;
+
+enum class KeyOrder { kAscending, kDescending, kDuplicate };
+
+class FillToCapacity : public ::testing::TestWithParam<KeyOrder> {};
+
+TEST_P(FillToCapacity, FullNodesSplitAndScanBackInOrder) {
+  std::unique_ptr<Pager> pager = *Pager::Open("", kSmallPage);
+  auto pool = std::make_unique<BufferPool>(pager.get(), 64);
+  BTree tree = *BTree::Create(pool.get());
+  auto key_of = [](uint64_t i) -> uint64_t {
+    switch (GetParam()) {
+      case KeyOrder::kAscending:
+        return i;
+      case KeyOrder::kDescending:
+        return 1000000 - i;
+      case KeyOrder::kDuplicate:
+        return 7;
+    }
+    return 0;
+  };
+  // In all three orders every insert lands in the leaf the last split
+  // left with (kLeafMax + 1) / 2 entries, so the root leaf is exactly
+  // full after kLeafMax inserts, and the root internal node after
+  // kInternalMax - 1 further leaf splits.
+  const uint64_t half = (kLeafMax + 1) / 2;
+  const uint64_t leaf_full = kLeafMax;
+  const uint64_t internal_full = kLeafMax + 1 + (kInternalMax - 1) * half;
+  std::vector<std::pair<uint64_t, uint64_t>> inserted;
+  auto insert_until = [&](uint64_t n) {
+    while (inserted.size() < n) {
+      const uint64_t i = inserted.size();
+      ASSERT_TRUE(tree.Insert(key_of(i), i).ok());
+      inserted.emplace_back(key_of(i), i);
+    }
+  };
+  insert_until(leaf_full);
+  EXPECT_EQ(*tree.Height(), 1);
+  insert_until(leaf_full + 1);
+  EXPECT_EQ(*tree.Height(), 2);
+  insert_until(internal_full);
+  EXPECT_EQ(*tree.Height(), 2);
+  insert_until(internal_full + half);
+  EXPECT_EQ(*tree.Height(), 3);
+
+  std::vector<std::pair<uint64_t, uint64_t>> scanned;
+  ASSERT_TRUE(tree.Scan(0, UINT64_MAX, [&](uint64_t k, uint64_t v) {
+    scanned.emplace_back(k, v);
+    return true;
+  }).ok());
+  ASSERT_EQ(scanned.size(), inserted.size());
+  EXPECT_TRUE(std::is_sorted(
+      scanned.begin(), scanned.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; }));
+  std::sort(scanned.begin(), scanned.end());
+  std::sort(inserted.begin(), inserted.end());
+  EXPECT_EQ(scanned, inserted);
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, FillToCapacity,
+                         ::testing::Values(KeyOrder::kAscending,
+                                           KeyOrder::kDescending,
+                                           KeyOrder::kDuplicate));
 
 }  // namespace
 }  // namespace relstore

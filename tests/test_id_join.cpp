@@ -4,11 +4,15 @@
 // executors, dictionary-encoded WAL batches and snapshot sections.
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "apps/bistab.h"
 #include "engine/ssdm.h"
 #include "rdf/dictionary.h"
 #include "rdf/graph.h"
@@ -42,72 +46,52 @@ TEST(Dictionary, InternIsExactIdentityAndRoundTrips) {
   EXPECT_FALSE(d.Find(I("missing")).has_value());
 }
 
-TEST(Dictionary, NumericAliasDisablesJoinSafety) {
+TEST(Dictionary, IntegerAndIntegralDoubleShareOneId) {
   TermDictionary d;
-  d.Intern(Term::Integer(2));
-  d.Intern(Term::Double(2.5));
-  // 2 and 2.5 are not value-equal: still join safe.
-  EXPECT_TRUE(d.join_safe());
-  d.Intern(Term::Double(2.0));
-  // 2 and 2.0 compare equal under SPARQL `=` but hold distinct IDs.
-  EXPECT_TRUE(d.has_numeric_alias());
-  EXPECT_FALSE(d.join_safe());
+  uint32_t two = d.Intern(Term::Integer(2));
+  uint32_t two_and_half = d.Intern(Term::Double(2.5));
+  EXPECT_NE(two, two_and_half);
+  // 2 and 2.0 are one value: one ID, and the ID keeps the first form.
+  EXPECT_EQ(d.Intern(Term::Double(2.0)), two);
+  EXPECT_EQ(*d.Find(Term::Double(2.0)), two);
+  EXPECT_EQ(d.term(two).kind(), Term::Kind::kInteger);
+  EXPECT_EQ(d.size(), 2u);
 }
 
-TEST(Dictionary, HugeNumericCoexistenceFlagsAliasConservatively) {
-  // Past 2^53 the int64 -> double cast stops being injective:
-  // (double)9007199254740993 is exactly 9007199254740992.0, so the two
-  // compare equal under SPARQL `=` while interning apart.
-  {
-    TermDictionary d;
-    d.Intern(Term::Double(9007199254740992.0));  // 2^53
-    EXPECT_TRUE(d.join_safe());
-    d.Intern(Term::Integer(9007199254740993));
-    // The integer-side probe is exact at any magnitude.
-    EXPECT_FALSE(d.join_safe());
-  }
-  {
-    TermDictionary d;
-    d.Intern(Term::Integer(9007199254740993));
-    EXPECT_TRUE(d.join_safe());
-    // The double-side probe cannot enumerate every integer that widens to
-    // 2^53, so coexistence with any huge integer flags conservatively.
-    d.Intern(Term::Double(9007199254740992.0));
-    EXPECT_FALSE(d.join_safe());
-  }
-  {
-    // Below the bound detection stays exact: distinct values never flag.
-    TermDictionary d;
-    d.Intern(Term::Integer(4096));
-    d.Intern(Term::Double(4097.0));
-    EXPECT_TRUE(d.join_safe());
-  }
-}
-
-TEST(Dictionary, SignedZerosAliasAcrossRepresentations) {
-  // 0.0 and -0.0 intern apart (bit-pattern identity) but compare equal.
-  {
-    TermDictionary d;
-    d.Intern(Term::Double(0.0));
-    EXPECT_TRUE(d.join_safe());
-    d.Intern(Term::Double(-0.0));
-    EXPECT_FALSE(d.join_safe());
-  }
-  {
-    TermDictionary d;
-    d.Intern(Term::Double(-0.0));
-    d.Intern(Term::Integer(0));
-    EXPECT_FALSE(d.join_safe());
-  }
-}
-
-TEST(Dictionary, ArrayTermsDisableJoinSafety) {
+TEST(Dictionary, ValuesPastDoublePrecisionKeepDistinctIds) {
+  // (double)(2^53+1) rounds to 2^53, but identity never widens an integer
+  // to double: only an exactly equal integral double shares an ID.
   TermDictionary d;
-  EXPECT_TRUE(d.join_safe());
-  NumericArray a = NumericArray::Zeros(ElementType::kInt64, {2});
-  d.Intern(Term::Array(ResidentArray::Make(std::move(a))));
-  EXPECT_EQ(d.array_terms(), 1u);
-  EXPECT_FALSE(d.join_safe());
+  uint32_t big_double = d.Intern(Term::Double(9007199254740992.0));  // 2^53
+  uint32_t big_int = d.Intern(Term::Integer(9007199254740993));      // +1
+  EXPECT_NE(big_double, big_int);
+  EXPECT_EQ(d.Intern(Term::Integer(9007199254740992)), big_double);
+  EXPECT_FALSE(d.Find(Term::Integer(9007199254740994)).has_value());
+  // Integral doubles past the int64 span equal no integer.
+  d.Intern(Term::Integer(INT64_MAX));
+  EXPECT_FALSE(d.Find(Term::Double(9223372036854775808.0)).has_value());
+}
+
+TEST(Dictionary, SignedZerosAndNaNsShareOneId) {
+  TermDictionary d;
+  uint32_t zero = d.Intern(Term::Double(-0.0));
+  EXPECT_EQ(d.Intern(Term::Double(0.0)), zero);
+  EXPECT_EQ(d.Intern(Term::Integer(0)), zero);
+  uint32_t nan = d.Intern(Term::Double(std::nan("")));
+  EXPECT_EQ(d.Intern(Term::Double(-std::nan("1"))), nan);
+  EXPECT_EQ(d.size(), 2u);
+}
+
+TEST(Dictionary, DistinctArrayObjectsGetDistinctIds) {
+  TermDictionary d;
+  Term a = Term::Array(
+      ResidentArray::Make(NumericArray::Zeros(ElementType::kInt64, {2})));
+  Term b = Term::Array(
+      ResidentArray::Make(NumericArray::Zeros(ElementType::kInt64, {2})));
+  ASSERT_TRUE(a == b);  // value-equal...
+  uint32_t ia = d.Intern(a);
+  EXPECT_NE(d.Intern(b), ia);  // ...but interned by object identity
+  EXPECT_EQ(d.Intern(a), ia);
 }
 
 TEST(Dictionary, StringBytesTrackLexicalPayloads) {
@@ -282,7 +266,7 @@ TEST_F(IdJoinTest, CrossKindNumericConstantsMatch) {
                       "ex:m ex:name \"mallory\" }")
                   .ok());
   // Integer literal 10 must match the stored double 10.0 on both paths
-  // (the ID executor probes both numeric kinds of the dictionary).
+  // (the dictionary holds one ID per numeric value).
   ExpectSameRows("SELECT ?n WHERE { ?s ex:score 10 . ?s ex:name ?n }");
 }
 
@@ -296,49 +280,49 @@ TEST_F(IdJoinTest, OverflowFallsBackToScanAndBind) {
 }
 
 TEST_F(IdJoinTest, NumericAliasInDataDisablesFastPathSafely) {
-  // Interning both 25 and 25.0 makes ID equality diverge from SPARQL `=`;
-  // the executor must fall back, and results must still be correct.
+  // 25.0 next to a stored 25 is one value: both executors must agree.
   ASSERT_TRUE(scisparql::Run(db_, "INSERT DATA { ex:z ex:age 25.0 . "
                       "ex:z ex:knows ex:a }")
                   .ok());
-  EXPECT_FALSE(db_.dataset().default_graph().dict().join_safe());
   ExpectSameRows("SELECT ?s WHERE { ?s ex:age 25 . ?s ex:knows ?f }");
 }
 
 TEST_F(IdJoinTest, IntegerConstantPastDoublePrecisionMatchesScanAndBind) {
   // Stored double 2^53; the query constant 2^53+1 widens to exactly that
-  // double under SPARQL `=`, but the int64 -> double cast used to lower it
-  // into the ID space is lossy at this magnitude. The lowering must fall
-  // back to scan-and-bind rather than pin the constant to (or past) the
-  // stored ID.
+  // double under FILTER `=`, but BGP matching is by exact value, so both
+  // paths must agree that it matches nothing.
   ASSERT_TRUE(scisparql::Run(db_, "INSERT DATA { ex:big ex:score 9007199254740992.0 . "
                       "ex:big ex:name \"big\" }")
                   .ok());
   ExpectSameRows(
       "SELECT ?n WHERE { ?s ex:score 9007199254740993 . ?s ex:name ?n }");
-  // Exactly-representable magnitudes keep the exact cross-kind probe.
+  // The integer 2^53 is exactly the stored double: one value, one row.
   ExpectSameRows(
       "SELECT ?n WHERE { ?s ex:score 9007199254740992 . ?s ex:name ?n }");
 }
 
 TEST(IdJoinEdge, DoubleConstantPastPrecisionDoesNotMissStoredInteger) {
   // The mirror image: a huge integer stored, a double query constant equal
-  // to it under widening. Casting the double back to int64 yields 2^53 and
-  // the probe misses 2^53+1 — the old "missing constant -> zero solutions"
-  // early return silently dropped the row.
+  // to it only under widening. BGP matching is by exact value, so the
+  // constant matches nothing on either path; FILTER `=` keeps XPath
+  // numeric promotion and still finds the row.
   SSDM db;
   db.prefixes().Set("ex", "http://example.org/");
   ASSERT_TRUE(scisparql::Run(db, "INSERT DATA { ex:huge ex:score 9007199254740993 . "
                       "ex:huge ex:name \"huge\" }")
                   .ok());
-  EXPECT_TRUE(db.dataset().default_graph().dict().join_safe());
   for (bool id_joins : {true, false}) {
     db.exec_options().use_id_joins = id_joins;
     auto r = Query(db,
                    "SELECT ?n WHERE { ?s ex:score 9007199254740992.0 . "
                    "?s ex:name ?n }");
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r->rows.size(), 1u) << "use_id_joins=" << id_joins;
+    EXPECT_EQ(r->rows.size(), 0u) << "use_id_joins=" << id_joins;
+    auto f = Query(db,
+                   "SELECT ?n WHERE { ?s ex:score ?v . ?s ex:name ?n . "
+                   "FILTER (?v = 9007199254740992.0) }");
+    ASSERT_TRUE(f.ok()) << f.status().ToString();
+    EXPECT_EQ(f->rows.size(), 1u) << "use_id_joins=" << id_joins;
   }
 }
 
@@ -389,6 +373,113 @@ TEST_F(IdJoinTest, ExplainShowsDeltaMergedScansWhileDeltaPending) {
   // Still the ID path — and the scans advertise the merged delta run.
   EXPECT_NE(plan->find("index-scan("), std::string::npos) << *plan;
   EXPECT_NE(plan->find("+delta"), std::string::npos) << *plan;
+}
+
+// ---------------------------------------------------------------------------
+// Arrays on the ID path: identity IDs, value-checked constants.
+// ---------------------------------------------------------------------------
+
+Term IntArray(std::vector<int64_t> values) {
+  const int64_t n = static_cast<int64_t>(values.size());
+  return Term::Array(ResidentArray::Make(
+      NumericArray::FromInts({n}, std::move(values)).value()));
+}
+
+TEST(IdJoinArrays, BistabQ4TakesTheIdPath) {
+  SSDM db;
+  apps::BistabConfig cfg;
+  cfg.parameter_cases = 3;
+  cfg.realizations = 2;
+  cfg.timesteps = 20;
+  ASSERT_TRUE(apps::GenerateBistab(&db, cfg).ok());
+  const std::string q4 = apps::BistabQ4(cfg.timesteps);
+  auto id_rows = Query(db, q4);
+  ASSERT_TRUE(id_rows.ok()) << id_rows.status().ToString();
+  auto plan = db.Explain(q4);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("index-scan("), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("-join("), std::string::npos) << *plan;
+  db.exec_options().use_id_joins = false;
+  auto scan_rows = Query(db, q4);
+  ASSERT_TRUE(scan_rows.ok()) << scan_rows.status().ToString();
+  EXPECT_EQ(id_rows->rows, scan_rows->rows);
+  EXPECT_EQ(id_rows->rows.size(), 3u);
+}
+
+/// ex:a and ex:d hold one array object, ex:c a distinct value-equal copy,
+/// ex:b a different array.
+class IdJoinArrayTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_.prefixes().Set("ex", "http://example.org/");
+    Graph& g = db_.dataset().default_graph();
+    shared_ = IntArray({1, 2, 3});
+    g.Add(I("a"), I("arr"), shared_);
+    g.Add(I("b"), I("arr"), IntArray({4, 5}));
+    g.Add(I("c"), I("copy"), IntArray({1, 2, 3}));
+    g.Add(I("d"), I("copy"), shared_);
+    for (const char* s : {"a", "b", "c", "d"}) {
+      g.Add(I(s), I("name"), Term::String(s));
+    }
+  }
+
+  std::multiset<std::string> Rows(const std::string& q, bool id_joins) {
+    db_.exec_options().use_id_joins = id_joins;
+    auto r = Query(db_, q);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::multiset<std::string> out;
+    if (!r.ok()) return out;
+    for (const auto& row : r->rows) {
+      std::string k;
+      for (const Term& t : row) k += t.ToString() + " ";
+      out.insert(k);
+    }
+    return out;
+  }
+
+  SSDM db_;
+  Term shared_;
+};
+
+TEST_F(IdJoinArrayTest, OuterBoundArrayMatchesByValueOnBothPaths) {
+  // The OPTIONAL's BGP sees ?v bound to ex:a's array: it lowers to a slot
+  // plus a value check, so ex:c's equal copy matches as well as ex:d's
+  // shared object — as scan-and-bind's value scan does.
+  const std::string q =
+      "SELECT ?s ?n WHERE { ?s ex:arr ?v . "
+      "OPTIONAL { ?t ex:copy ?v . ?t ex:name ?n } }";
+  std::multiset<std::string> id = Rows(q, true);
+  EXPECT_EQ(id, Rows(q, false));
+  EXPECT_EQ(id, (std::multiset<std::string>{
+                    "<http://example.org/a> \"c\" ",
+                    "<http://example.org/a> \"d\" ",
+                    "<http://example.org/b> UNDEF "}));
+}
+
+TEST_F(IdJoinArrayTest, SharedArrayVariableJoinsByStoredIdentity) {
+  // The named divergence: two patterns sharing an array variable join by
+  // the stored object on the ID path (ex:d holds ex:a's object, ex:c only
+  // an equal copy); scan-and-bind substitutes the value instead.
+  const std::string q =
+      "SELECT ?s ?t WHERE { ?s ex:arr ?v . ?t ex:copy ?v }";
+  EXPECT_EQ(Rows(q, true),
+            std::multiset<std::string>{
+                "<http://example.org/a> <http://example.org/d> "});
+  EXPECT_EQ(Rows(q, false).size(), 2u);
+}
+
+TEST_F(IdJoinArrayTest, PendingArrayTombstoneSuppressesItsBaseCopy) {
+  // A removal spelled with a fresh value-equal array object must hide the
+  // stored triple from the ID path while it is still in the delta.
+  db_.dataset().SetConcurrentWrites(true);
+  Graph& g = db_.dataset().default_graph();
+  EXPECT_EQ(g.Remove(Triple{I("a"), I("arr"), IntArray({1, 2, 3})}), 1u);
+  ASSERT_TRUE(g.HasDelta());
+  const std::string q = "SELECT ?s ?n WHERE { ?s ex:arr ?v . ?s ex:name ?n }";
+  std::multiset<std::string> id = Rows(q, true);
+  EXPECT_EQ(id, Rows(q, false));
+  EXPECT_EQ(id, (std::multiset<std::string>{
+                    "<http://example.org/b> \"b\" "}));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 // Property test: the executor's BGP evaluation (with cost-based join
 // ordering and sideways information passing) must agree with a brute-force
 // reference evaluator on randomized graphs and patterns, with the
-// optimizer both on and off.
+// optimizer both on and off. A second sweep mixes numeric forms (integers
+// next to integral doubles, signed zeros, values around 2^53), query
+// constants of the other numeric kind, array objects, and a pending delta
+// next to the folded one.
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <functional>
 #include <map>
 #include <random>
 #include <set>
@@ -11,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/ssdm.h"
+#include "rdf/write_batch.h"
 #include "query_helpers.h"
 
 namespace scisparql {
@@ -20,13 +27,20 @@ using ast::TriplePattern;
 using ast::VarOrTerm;
 
 struct RandomCase {
-  Graph graph;
+  /// Mutations in order; the reference graph is their set-semantic result.
+  std::vector<WriteBatch::Op> ops;
   std::vector<TriplePattern> patterns;
   std::vector<std::string> vars;  // in order of appearance
 };
 
 Term Node(int i) { return Term::Iri("http://n/" + std::to_string(i)); }
 Term Pred(int i) { return Term::Iri("http://p/" + std::to_string(i)); }
+
+void AddOp(RandomCase* rc, Term s, Term p, Term o) {
+  rc->ops.push_back(WriteBatch::Op{WriteBatch::OpKind::kAdd,
+                                   Triple{std::move(s), std::move(p),
+                                          std::move(o)}});
+}
 
 RandomCase MakeCase(uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -35,9 +49,9 @@ RandomCase MakeCase(uint64_t seed) {
   const int preds = 3;
   const int triples = 25;
   for (int i = 0; i < triples; ++i) {
-    rc.graph.Add(Node(rng() % nodes), Pred(rng() % preds),
-                 rng() % 3 == 0 ? Term::Integer(static_cast<int64_t>(rng() % 4))
-                                : Node(rng() % nodes));
+    AddOp(&rc, Node(rng() % nodes), Pred(rng() % preds),
+          rng() % 3 == 0 ? Term::Integer(static_cast<int64_t>(rng() % 4))
+                         : Node(rng() % nodes));
   }
   // 2-4 patterns over a small shared variable pool (join-heavy).
   int npatterns = 2 + rng() % 3;
@@ -65,53 +79,198 @@ RandomCase MakeCase(uint64_t seed) {
   return rc;
 }
 
-/// Brute force: try every combination of triples for the patterns and keep
-/// consistent assignments.
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+/// Numerics whose forms collide under value identity, or nearly do: equal
+/// values in both kinds, signed zeros, and the 2^53 neighbourhood where
+/// widening an integer to double stops being exact.
+std::vector<Term> NumericPool() {
+  return {Term::Integer(0),          Term::Double(0.0),
+          Term::Double(-0.0),        Term::Integer(2),
+          Term::Double(2.0),         Term::Double(2.5),
+          Term::Integer(kTwo53 - 1), Term::Double(kTwo53 - 1),
+          Term::Integer(kTwo53),     Term::Double(kTwo53),
+          Term::Integer(kTwo53 + 1), Term::Double(kTwo53 + 2)};
+}
+
+/// `t` in the other numeric kind (its nearest double, or its integer value
+/// when integral); the value may differ past 2^53, which is the point.
+Term OtherKind(const Term& t) {
+  if (t.kind() == Term::Kind::kInteger) {
+    return Term::Double(static_cast<double>(t.integer()));
+  }
+  const double d = t.dbl();
+  if (d == std::trunc(d)) return Term::Integer(static_cast<int64_t>(d));
+  return t;
+}
+
+Term NewArray(std::vector<int64_t> values) {
+  const int64_t n = static_cast<int64_t>(values.size());
+  return Term::Array(ResidentArray::Make(
+      NumericArray::FromInts({n}, std::move(values)).value()));
+}
+
+/// Mixed numeric forms and array objects as objects (two value-equal array
+/// objects, one of them stored twice), query constants of the other
+/// numeric kind, then removals spelled in another form of the stored
+/// triple: numerics in the other kind, arrays as a fresh value-equal
+/// object.
+RandomCase MakeMixedCase(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  RandomCase rc;
+  const int nodes = 4;
+  const int preds = 2;
+  const int triples = 40;
+  const std::vector<Term> numerics = NumericPool();
+  const std::vector<Term> arrays = {NewArray({1, 2}), NewArray({1, 2}),
+                                    NewArray({3})};
+  for (int i = 0; i < triples; ++i) {
+    const int pick = static_cast<int>(rng() % 20);
+    Term o = pick < 12   ? numerics[rng() % numerics.size()]
+             : pick < 16 ? arrays[rng() % arrays.size()]
+                         : Node(rng() % nodes);
+    AddOp(&rc, Node(rng() % nodes), Pred(rng() % preds), std::move(o));
+  }
+  for (int i = 0; i < 6; ++i) {
+    Triple t = rc.ops[rng() % triples].t;
+    if (t.o.IsNumeric() && Term::Identical(OtherKind(t.o), t.o)) {
+      t.o = OtherKind(t.o);
+    } else if (t.o.IsArray()) {
+      t.o = Term::Array(ResidentArray::Make(*t.o.array()->Materialize()));
+    }
+    rc.ops.push_back(WriteBatch::Op{WriteBatch::OpKind::kRemoveAll,
+                                    std::move(t)});
+  }
+  // Subject variables (?s*) and value variables (?o*) in separate pools,
+  // so most joins are on numeric or array values; a value variable in
+  // subject position now and then chains through nodes.
+  std::set<std::string> seen;
+  auto var = [&](const std::string& name) {
+    if (seen.insert(name).second) rc.vars.push_back(name);
+    return VarOrTerm::Var(name);
+  };
+  const int npatterns = 2 + rng() % 3;
+  for (int i = 0; i < npatterns; ++i) {
+    TriplePattern tp;
+    const int sp = static_cast<int>(rng() % 8);
+    tp.s = sp < 6   ? var("s" + std::to_string(rng() % 2))
+           : sp < 7 ? var("o" + std::to_string(rng() % 2))
+                    : VarOrTerm::Const(Node(rng() % nodes));
+    tp.p = rng() % 5 == 0 ? var("p0") : VarOrTerm::Const(Pred(rng() % preds));
+    const int op = static_cast<int>(rng() % 10);
+    tp.o = op < 6   ? var("o" + std::to_string(rng() % 2))
+           : op < 9 ? VarOrTerm::Const(
+                          OtherKind(numerics[rng() % numerics.size()]))
+                    : VarOrTerm::Const(Node(rng() % nodes));
+    rc.patterns.push_back(std::move(tp));
+  }
+  return rc;
+}
+
+/// Exact decimal rendering of a numeric's value when it is an integer
+/// (printf prints integral doubles exactly), else "" for non-integers.
+std::string IntegerText(const Term& t) {
+  if (t.kind() == Term::Kind::kInteger) return std::to_string(t.integer());
+  const double d = t.dbl();
+  if (!std::isfinite(d) || d != std::trunc(d)) return "";
+  char buf[400];
+  std::snprintf(buf, sizeof(buf), "%.0f", d == 0 ? 0.0 : d);
+  return buf;
+}
+
+/// BGP matching identity, written out independently of the engine:
+/// numerics by exact mathematical value (never widening an integer to
+/// double), arrays by stored object, everything else by operator==.
+bool SameTerm(const Term& a, const Term& b) {
+  if (a.IsArray() || b.IsArray()) {
+    return a.IsArray() && b.IsArray() && a.array() == b.array();
+  }
+  if (a.IsNumeric() && b.IsNumeric()) {
+    if (a.kind() == Term::Kind::kDouble && b.kind() == Term::Kind::kDouble) {
+      return a.dbl() == b.dbl() || (std::isnan(a.dbl()) && std::isnan(b.dbl()));
+    }
+    const std::string x = IntegerText(a);
+    return !x.empty() && x == IntegerText(b);
+  }
+  return a == b;
+}
+
+/// A row cell rendered so that identical terms render alike whatever
+/// numeric form the engine returns.
+std::string CellKey(const Term& t) {
+  if (t.IsUndef()) return "UNDEF";
+  if (t.IsNumeric()) {
+    const std::string i = IntegerText(t);
+    if (!i.empty()) return i;
+  }
+  return t.ToString();
+}
+
+/// The graph the ops leave behind under RDF set semantics: a triple
+/// already present (numerics by value, arrays by elements) is not added
+/// again, and a removal takes every copy.
+std::vector<Triple> Content(const RandomCase& rc) {
+  auto same = [](const Triple& a, const Triple& b) {
+    auto eq = [](const Term& x, const Term& y) {
+      return x.IsArray() && y.IsArray() ? x == y : SameTerm(x, y);
+    };
+    return eq(a.s, b.s) && eq(a.p, b.p) && eq(a.o, b.o);
+  };
+  std::vector<Triple> out;
+  for (const WriteBatch::Op& op : rc.ops) {
+    auto hit = [&](const Triple& t) { return same(t, op.t); };
+    if (op.kind == WriteBatch::OpKind::kAdd) {
+      if (std::none_of(out.begin(), out.end(), hit)) out.push_back(op.t);
+    } else {
+      out.erase(std::remove_if(out.begin(), out.end(), hit), out.end());
+    }
+  }
+  return out;
+}
+
+/// Brute force: try every combination of triples for the patterns (one
+/// pattern at a time, abandoning a combination at its first inconsistent
+/// pattern) and keep consistent assignments.
 std::set<std::vector<std::string>> Reference(const RandomCase& rc) {
-  std::vector<Triple> all = rc.graph.MatchAll(Term(), Term(), Term());
+  const std::vector<Triple> all = Content(rc);
   std::set<std::vector<std::string>> results;
-  size_t n = all.size();
-  size_t k = rc.patterns.size();
-  std::vector<size_t> pick(k, 0);
-  while (true) {
-    // Check the assignment pick[].
-    std::map<std::string, Term> binding;
-    bool ok = true;
-    for (size_t i = 0; i < k && ok; ++i) {
-      const Triple& t = all[pick[i]];
-      const TriplePattern& tp = rc.patterns[i];
+  std::map<std::string, Term> binding;
+  std::function<void(size_t)> extend = [&](size_t i) {
+    if (i == rc.patterns.size()) {
+      std::vector<std::string> row;
+      for (const std::string& v : rc.vars) {
+        auto it = binding.find(v);
+        row.push_back(it == binding.end() ? "UNDEF" : CellKey(it->second));
+      }
+      results.insert(std::move(row));
+      return;
+    }
+    const TriplePattern& tp = rc.patterns[i];
+    for (const Triple& t : all) {
+      std::vector<std::string> bound_here;
+      bool ok = true;
       auto check = [&](const VarOrTerm& vt, const Term& value) {
+        if (!ok) return;
         if (!vt.is_var) {
-          if (!(vt.term == value)) ok = false;
+          ok = SameTerm(vt.term, value);
           return;
         }
         auto it = binding.find(vt.var);
         if (it == binding.end()) {
-          binding[vt.var] = value;
-        } else if (!(it->second == value)) {
-          ok = false;
+          binding.emplace(vt.var, value);
+          bound_here.push_back(vt.var);
+        } else {
+          ok = SameTerm(it->second, value);
         }
       };
       check(tp.s, t.s);
-      if (ok) check(tp.p, t.p);
-      if (ok) check(tp.o, t.o);
+      check(tp.p, t.p);
+      check(tp.o, t.o);
+      if (ok) extend(i + 1);
+      for (const std::string& v : bound_here) binding.erase(v);
     }
-    if (ok) {
-      std::vector<std::string> row;
-      for (const std::string& v : rc.vars) {
-        auto it = binding.find(v);
-        row.push_back(it == binding.end() ? "UNDEF" : it->second.ToString());
-      }
-      results.insert(std::move(row));
-    }
-    // Next combination.
-    size_t d = 0;
-    while (d < k && ++pick[d] == n) {
-      pick[d] = 0;
-      ++d;
-    }
-    if (d == k) break;
-  }
+  };
+  extend(0);
   return results;
 }
 
@@ -129,40 +288,82 @@ std::string ToQuery(const RandomCase& rc) {
   return q;
 }
 
-class ReferenceSweep : public ::testing::TestWithParam<uint64_t> {};
+/// Applies ops[from, to) one batch each.
+void ApplyOps(const RandomCase& rc, size_t from, size_t to, Graph* g) {
+  for (size_t i = from; i < to; ++i) {
+    WriteBatch b;
+    WriteBatch::Op op = rc.ops[i];
+    if (op.kind == WriteBatch::OpKind::kAdd) {
+      b.Add(std::move(op.t));
+    } else {
+      b.RemoveAll(std::move(op.t));
+    }
+    g->Apply(std::move(b));
+  }
+}
 
-TEST_P(ReferenceSweep, ExecutorMatchesBruteForce) {
-  RandomCase rc = MakeCase(GetParam());
-  std::set<std::vector<std::string>> expected = Reference(rc);
-
-  SSDM db;
-  rc.graph.ForEach([&db](const Triple& t) {
-    db.dataset().default_graph().Add(t);
-  });
+/// Runs the case's query with the optimizer on and off, checking the
+/// executor's row set against the reference's `expected`.
+void ExpectMatches(SSDM& db, const RandomCase& rc,
+                   const std::set<std::vector<std::string>>& expected,
+                   const std::string& state) {
   std::string query = ToQuery(rc);
-
   for (bool optimize : {true, false}) {
     db.exec_options().optimize_join_order = optimize;
     auto r = Query(db, query);
     ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << query;
     // The executor returns a multiset; brute force distinct assignments of
     // triples can produce duplicate rows too. Compare as sets (DISTINCT
-    // projections) — and also check multiset cardinality is >= set size.
+    // projections).
     std::set<std::vector<std::string>> got;
     for (const auto& row : r->rows) {
       std::vector<std::string> cells;
-      for (const Term& t : row) {
-        cells.push_back(t.IsUndef() ? "UNDEF" : t.ToString());
-      }
+      for (const Term& t : row) cells.push_back(CellKey(t));
       got.insert(std::move(cells));
     }
-    EXPECT_EQ(got, expected)
-        << "optimizer=" << optimize << "\nquery: " << query;
+    EXPECT_EQ(got, expected) << state << " optimizer=" << optimize
+                             << "\nquery: " << query;
   }
+}
+
+class ReferenceSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ReferenceSweep, ExecutorMatchesBruteForce) {
+  RandomCase rc = MakeCase(GetParam());
+  SSDM db;
+  ApplyOps(rc, 0, rc.ops.size(), &db.dataset().default_graph());
+  ExpectMatches(db, rc, Reference(rc), "base");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReferenceSweep,
                          ::testing::Range<uint64_t>(1, 26));
+
+class ValueIdentitySweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ValueIdentitySweep, IdPathMatchesBruteForceFoldedAndPending) {
+  RandomCase rc = MakeMixedCase(GetParam());
+  const std::set<std::vector<std::string>> expected = Reference(rc);
+  {
+    SSDM db;
+    ApplyOps(rc, 0, rc.ops.size(), &db.dataset().default_graph());
+    ExpectMatches(db, rc, expected, "base");
+  }
+  // Half the adds in the base table, the rest plus every removal pending
+  // in the delta; then the same graph after the fold.
+  SSDM db;
+  Graph& g = db.dataset().default_graph();
+  ApplyOps(rc, 0, rc.ops.size() / 2, &g);
+  db.dataset().SetConcurrentWrites(true);
+  ApplyOps(rc, rc.ops.size() / 2, rc.ops.size(), &g);
+  ASSERT_TRUE(g.HasDelta());
+  ExpectMatches(db, rc, expected, "pending-delta");
+  ASSERT_TRUE(g.HasDelta());
+  db.dataset().FoldDeltas();
+  ExpectMatches(db, rc, expected, "folded");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ValueIdentitySweep,
+                         ::testing::Range<uint64_t>(1, 101));
 
 }  // namespace
 }  // namespace scisparql

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
@@ -129,6 +130,91 @@ TEST(Replication, ReplicasConvergeAndServeReads) {
   auto status = r1.engine.Execute("REPL STATUS");
   ASSERT_TRUE(status.ok());
   EXPECT_NE(status->info().find("role=replica"), std::string::npos);
+}
+
+/// `SELECT ?s ?o WHERE { ?s ex:v ?o }` rows, rendered, in subject order.
+std::vector<std::string> ValueRows(const sparql::QueryResult& r) {
+  std::vector<std::string> out;
+  for (const auto& row : r.rows) {
+    out.push_back(row[0].ToString() + " " + row[1].ToString());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+constexpr const char* kValueQuery =
+    "PREFIX ex: <http://example.org/> SELECT ?s ?o WHERE { ?s ex:v ?o }";
+
+TEST(Replication, NumericFormsReadBackAsTheFirstStoredForm) {
+  // 2 and 2.0 are one value: the graph stores the first form interned for
+  // it, and every path that rebuilds the graph — checkpoint + reopen, a
+  // delta fold with compaction, a WAL-shipping replica — reads it back.
+  const std::vector<std::string> both_as_int = {
+      "<http://example.org/a> 2", "<http://example.org/b> 2"};
+  auto run = [](SSDM& db, const std::string& update) {
+    return scisparql::Run(db, std::string(kPrefix) + update);
+  };
+  const std::string dir = FreshDir("repl_forms_p");
+  {
+    Node primary;
+    ASSERT_TRUE(primary.StartPrimary(dir).ok());
+    Node r1;
+    ASSERT_TRUE(r1.StartReplica(primary.port, "r1").ok());
+    ASSERT_TRUE(run(primary.engine, "INSERT DATA { ex:a ex:v 2 }").ok());
+    ASSERT_TRUE(run(primary.engine, "INSERT DATA { ex:b ex:v 2.0 }").ok());
+    auto live = Query(primary.engine, kValueQuery);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    EXPECT_EQ(ValueRows(*live), both_as_int) << "live";
+
+    ASSERT_TRUE(WaitCaughtUp(&r1, primary.engine.last_lsn()));
+    auto session = *client::RemoteSession::Connect("127.0.0.1", r1.port);
+    auto replica = session.Query(kValueQuery);
+    ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+    EXPECT_EQ(ValueRows(*replica), both_as_int) << "replica";
+
+    ASSERT_TRUE(primary.engine.Checkpoint().ok());
+  }
+  {
+    SSDM reopened;
+    ASSERT_TRUE(reopened.Open(dir).ok());
+    auto rows = Query(reopened, kValueQuery);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(ValueRows(*rows), both_as_int) << "checkpoint + reopen";
+    // Deleting in the other form removes b's triple.
+    ASSERT_TRUE(run(reopened, "DELETE DATA { ex:b ex:v 2 }").ok());
+    rows = Query(reopened, kValueQuery);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(ValueRows(*rows),
+              std::vector<std::string>{"<http://example.org/a> 2"});
+  }
+  {
+    // Concurrent writes: the pair lands in the delta, and enough filler
+    // churn that the fold compacts the table (rebuilding the dictionary).
+    SSDM db;
+    db.prefixes().Set("ex", "http://example.org/");
+    db.dataset().SetConcurrentWrites(true);
+    ASSERT_TRUE(run(db, "INSERT DATA { ex:a ex:v 2 }").ok());
+    ASSERT_TRUE(run(db, "INSERT DATA { ex:b ex:v 2.0 }").ok());
+    std::string filler;
+    for (int i = 0; i < 1100; ++i) {
+      filler += "ex:f" + std::to_string(i) + " ex:w " + std::to_string(i) +
+                " . ";
+    }
+    ASSERT_TRUE(run(db, "INSERT DATA { " + filler + "}").ok());
+    ASSERT_GT(db.FoldDeltas(), 0u);
+    ASSERT_TRUE(run(db, "DELETE DATA { " + filler + "}").ok());
+    ASSERT_GT(db.FoldDeltas(), 0u);
+    const Graph& g = db.dataset().default_graph();
+    EXPECT_EQ(g.id_table().size(), g.size()) << "fold did not compact";
+    auto rows = Query(db, kValueQuery);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(ValueRows(*rows), both_as_int) << "fold + compaction";
+    ASSERT_TRUE(run(db, "DELETE DATA { ex:b ex:v 2 }").ok());
+    rows = Query(db, kValueQuery);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(ValueRows(*rows),
+              std::vector<std::string>{"<http://example.org/a> 2"});
+  }
 }
 
 TEST(Replication, ReplicaRejectsWritesWithPointerToPrimary) {

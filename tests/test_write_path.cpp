@@ -281,7 +281,7 @@ TEST(WritePath, IdJoinMatchesScanAndBindAcrossDeltaStates) {
 
 /// Readers running multi-pattern BGPs through the ID path race four writers
 /// committing deltas (satellite: the epoch captured at BGP entry must bound
-/// every scan — a batch landing between the join-safety check and
+/// every scan — a batch landing between constant lowering and
 /// EnsureIdIndexes must not leak post-snapshot rows). The flip statements
 /// keep the per-snapshot invariant COUNT == 60 detectable if a scan ever
 /// mixes epochs; the churn writers grow the dictionary concurrently so TSan
