@@ -397,7 +397,8 @@ ScanMetrics& GraphMetrics() {
   obs::MetricsRegistry& reg = obs::DefaultMetrics();
   static ScanMetrics* m = new ScanMetrics{
       reg.GetCounter("ssdm_rdf_scans_total", "",
-                     "Triple-index scans (Graph::Match calls)."),
+                     "Triple-index scans (Graph::Match calls and ID-space "
+                     "prefix scans)."),
       reg.GetCounter("ssdm_rdf_scan_rows_total", "",
                      "Matching triples delivered by triple-index scans."),
   };
@@ -420,6 +421,11 @@ const Term& UndefTerm() {
 }
 
 }  // namespace
+
+void RecordTripleScans(uint64_t scans, uint64_t rows) {
+  if (scans > 0) GraphMetrics().scans.Add(scans);
+  if (rows > 0) GraphMetrics().rows.Add(rows);
+}
 
 size_t Graph::BaseMultiplicity(const Triple& t) const {
   size_t n = 0;

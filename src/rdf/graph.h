@@ -390,6 +390,11 @@ class Graph {
   std::unique_ptr<DeltaState> delta_;
 };
 
+/// Adds to the process-wide triple-scan counters (ssdm_rdf_scans_total,
+/// ssdm_rdf_scan_rows_total) that Graph::Match feeds — for scans that read
+/// the ID permutations directly.
+void RecordTripleScans(uint64_t scans, uint64_t rows);
+
 /// An RDF dataset: one default graph plus named graphs, addressed by the
 /// GRAPH clause and FROM / FROM NAMED (Section 3.3.4).
 class Dataset {

@@ -61,7 +61,8 @@ struct ExecOptions {
   /// Evaluate multi-pattern BGPs (no property paths) over the
   /// dictionary-ID permutation indexes — prefix-range index scans
   /// combined by merge / hash joins. Off = always scan-and-bind, the
-  /// reference the equivalence tests compare against.
+  /// reference the equivalence tests compare against. Property paths run
+  /// over IDs either way; there is one path evaluator.
   bool use_id_joins = true;
 
   /// Row cap for ID-join intermediate results. Past it the BGP falls back
@@ -79,7 +80,10 @@ struct ExecOptions {
   /// execution.
   AprConfig apr;
 
-  /// Safety valve for property-path closure evaluation.
+  /// Safety valve for property-path closure evaluation: the edge visits
+  /// one closure may make. A closure that reaches it stops without error
+  /// (its results are truncated) and bumps
+  /// ssdm_exec_path_budget_exhausted_total.
   int64_t max_path_visits = 1000000;
 
   /// Deadline / cancellation context for this execution (not owned; may be

@@ -1,11 +1,27 @@
 #include "sparql/id_join.h"
 
 #include <algorithm>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
+#include "rdf/graph.h"
+
 namespace scisparql {
 namespace sparql {
+
+ScanTally::~ScanTally() { RecordTripleScans(scans, rows); }
+
+PrefixScan::PrefixScan(const IdIndexes& idx, const DeltaIdRuns* delta,
+                       Perm perm, const std::array<uint32_t, 3>& key,
+                       int n_fixed)
+    : base_(idx.perm(perm)), perm_(perm) {
+  std::tie(lo_, hi_) = PrefixRange(base_, perm, key, n_fixed);
+  if (delta != nullptr && !delta->empty()) {
+    delta_ = &delta->run(perm);
+    std::tie(dlo_, dhi_) = DeltaPrefixRange(*delta_, perm, key, n_fixed);
+  }
+}
 
 namespace {
 
@@ -102,67 +118,22 @@ ScanPlan PlanScan(const IdPattern& pat) {
 void RunScan(const IdIndexes& idx, const DeltaIdRuns* delta,
              const ScanPlan& sp, Relation* rel, size_t* scanned,
              bool* delta_hit) {
-  const std::vector<IdTriple>& v = idx.perm(sp.perm);
-  auto [lo, hi] = PrefixRange(v, sp.perm, sp.key, sp.n_fixed);
+  PrefixScan scan(idx, delta, sp.perm, sp.key, sp.n_fixed);
+  *scanned = scan.raw_rows();
+  *delta_hit = scan.delta_hit();
   rel->slots = sp.out_slot;
   rel->sorted_slot = sp.out_slot.empty() ? -1 : sp.out_slot[0];
-  auto emit = [&](const IdTriple& t) {
+  rel->data.reserve(*scanned * sp.out_comp.size());
+  ScanTally tally;
+  scan.ForEach(&tally, [&](const IdTriple& t) {
     const uint32_t c3[3] = {t.s, t.p, t.o};
     for (const auto& [a, b] : sp.eq) {
-      if (c3[a] != c3[b]) return;
+      if (c3[a] != c3[b]) return true;
     }
     for (int comp : sp.out_comp) rel->data.push_back(c3[comp]);
     ++rel->rows;
-  };
-
-  if (delta == nullptr || delta->empty()) {
-    *scanned = hi - lo;
-    rel->data.reserve((hi - lo) * sp.out_comp.size());
-    for (size_t i = lo; i < hi; ++i) emit(v[i]);
-    return;
-  }
-
-  // Two-run merge in permutation key order. A permutation key is a
-  // bijective rearrangement of the triple's components, so equal keys mean
-  // equal ID tuples — and, the dictionary being value-canonical, equal
-  // triples (a delta cell holding an array adopts the base copy's array
-  // IDs) — which makes tombstone suppression exact: a cleared delta entry
-  // swallows precisely the base copies of its own triple.
-  const std::vector<DeltaIdEntry>& d = delta->run(sp.perm);
-  auto [dlo, dhi] = DeltaPrefixRange(d, sp.perm, sp.key, sp.n_fixed);
-  *scanned = (hi - lo) + (dhi - dlo);
-  *delta_hit = dhi > dlo;
-  rel->data.reserve(*scanned * sp.out_comp.size());
-  size_t bi = lo, di = dlo;
-  while (bi < hi || di < dhi) {
-    if (di >= dhi) {
-      emit(v[bi++]);
-      continue;
-    }
-    if (bi >= hi) {
-      const DeltaIdEntry& e = d[di++];
-      for (uint32_t c = 0; c < e.adds; ++c) emit(e.t);
-      continue;
-    }
-    const std::array<uint32_t, 3> bk = PermKey(sp.perm, v[bi]);
-    const std::array<uint32_t, 3> dk = PermKey(sp.perm, d[di].t);
-    if (bk < dk) {
-      emit(v[bi++]);
-    } else if (dk < bk) {
-      const DeltaIdEntry& e = d[di++];
-      for (uint32_t c = 0; c < e.adds; ++c) emit(e.t);
-    } else {
-      // Same triple: the tombstone (if any) suppresses every base copy —
-      // duplicates of one key are contiguous — then the delta's surviving
-      // inserts follow, keeping the output sorted.
-      const DeltaIdEntry& e = d[di++];
-      while (bi < hi && v[bi] == e.t) {
-        if (!e.cleared) emit(v[bi]);
-        ++bi;
-      }
-      for (uint32_t c = 0; c < e.adds; ++c) emit(e.t);
-    }
-  }
+    return true;
+  });
 }
 
 constexpr uint32_t kInterruptStride = 0x1FFF;

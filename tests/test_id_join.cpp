@@ -326,6 +326,27 @@ TEST(IdJoinEdge, DoubleConstantPastPrecisionDoesNotMissStoredInteger) {
   }
 }
 
+TEST(IdJoinEdge, PathEndPastPrecisionMatchesByExactValueLikeALink) {
+  // A property path's bound end lowers through the dictionary like a BGP
+  // constant, so a closure matches it by exact value too: the double
+  // 2^53 is not the stored integer 2^53+1 for a link, a `+` or a `*`.
+  SSDM db;
+  db.prefixes().Set("ex", "http://example.org/");
+  ASSERT_TRUE(
+      scisparql::Run(db, "INSERT DATA { ex:huge ex:score 9007199254740993 }")
+          .ok());
+  for (const char* path : {"ex:score", "ex:score+", "ex:score*"}) {
+    auto r = Ask(db, std::string("ASK { ex:huge ") + path +
+                         " 9007199254740992.0 }");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(*r) << path;
+    auto exact = Ask(db, std::string("ASK { ex:huge ") + path +
+                             " 9007199254740993 }");
+    ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+    EXPECT_TRUE(*exact) << path;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Delta-aware ID-space scans: pending writes must not evict the fast path.
 // ---------------------------------------------------------------------------
@@ -480,6 +501,19 @@ TEST_F(IdJoinArrayTest, PendingArrayTombstoneSuppressesItsBaseCopy) {
   EXPECT_EQ(id, Rows(q, false));
   EXPECT_EQ(id, (std::multiset<std::string>{
                     "<http://example.org/b> \"b\" "}));
+}
+
+TEST_F(IdJoinArrayTest, PathArrayEndMatchesValueEqualNodes) {
+  // A path end bound to an array stands for the stored arrays equal to it
+  // (the BGP residual rule): ex:c's copy and ex:d's shared object both
+  // reach ex:a's value, ex:b's different array does not.
+  const std::string q =
+      "SELECT ?t WHERE { ex:a ex:arr ?v . ?t ex:copy+ ?v }";
+  EXPECT_EQ(Rows(q, true), (std::multiset<std::string>{
+                               "<http://example.org/c> ",
+                               "<http://example.org/d> "}));
+  const std::string inv = "SELECT ?t WHERE { ex:a ex:arr ?v . ?v ^ex:copy ?t }";
+  EXPECT_EQ(Rows(inv, true), Rows(q, true));
 }
 
 // ---------------------------------------------------------------------------

@@ -352,6 +352,54 @@ TEST_F(ObsEngineTest, ExplainAnalyzeActualsMatchProfiledExplain) {
   EXPECT_EQ(analyze_actuals, explain_actuals);
 }
 
+/// Current value of a process-wide counter without labels.
+uint64_t CounterValue(const std::string& family) {
+  return DefaultMetrics().GetCounter(family, "", "").Value();
+}
+
+TEST_F(ObsEngineTest, IdJoinAndPathScansMoveTheTripleScanCounters) {
+  // Neither the ID join nor the path evaluator goes through Graph::Match;
+  // both read the permutations directly and must still be counted.
+  uint64_t scans = CounterValue("ssdm_rdf_scans_total");
+  uint64_t rows = CounterValue("ssdm_rdf_scan_rows_total");
+  auto join = Run("SELECT ?s ?v WHERE { ?s ex:tag ex:t1 . ?s ex:val ?v }");
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  ASSERT_EQ(join->rows().rows.size(), 2u);
+  EXPECT_GE(CounterValue("ssdm_rdf_scans_total"), scans + 2);  // two scans
+  EXPECT_GE(CounterValue("ssdm_rdf_scan_rows_total"), rows + 6);  // 2 + 4
+
+  ASSERT_TRUE(Run("INSERT DATA { ex:a ex:next ex:b . ex:b ex:next ex:c . "
+                  "ex:c ex:next ex:d }")
+                  .ok());
+  scans = CounterValue("ssdm_rdf_scans_total");
+  rows = CounterValue("ssdm_rdf_scan_rows_total");
+  auto path = Run("SELECT ?x WHERE { ex:a ex:next+ ?x }");
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  ASSERT_EQ(path->rows().rows.size(), 3u);
+  // One probe per expanded node (a, b, c, d), one edge row per step.
+  EXPECT_GE(CounterValue("ssdm_rdf_scans_total"), scans + 4);
+  EXPECT_GE(CounterValue("ssdm_rdf_scan_rows_total"), rows + 3);
+}
+
+TEST_F(ObsEngineTest, PathVisitBudgetTruncationIsCounted) {
+  ASSERT_TRUE(Run("INSERT DATA { ex:a ex:next ex:b . ex:b ex:next ex:c . "
+                  "ex:c ex:next ex:d . ex:d ex:next ex:e }")
+                  .ok());
+  const uint64_t before =
+      CounterValue("ssdm_exec_path_budget_exhausted_total");
+  auto full = Run("SELECT ?x WHERE { ex:a ex:next+ ?x }");
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(full->rows().rows.size(), 4u);
+  EXPECT_EQ(CounterValue("ssdm_exec_path_budget_exhausted_total"), before);
+
+  db_.exec_options().max_path_visits = 3;
+  auto cut = Run("SELECT ?x WHERE { ex:a ex:next+ ?x }");
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  EXPECT_LT(cut->rows().rows.size(), 4u);
+  EXPECT_EQ(CounterValue("ssdm_exec_path_budget_exhausted_total"),
+            before + 1);
+}
+
 TEST_F(ObsEngineTest, ExplainAnalyzeRunsUpdatesForReal) {
   auto r = Run("EXPLAIN ANALYZE INSERT DATA { ex:z ex:val 9 }");
   ASSERT_TRUE(r.ok());
