@@ -1,5 +1,6 @@
 #include <cmath>
 #include <algorithm>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -169,6 +170,36 @@ TEST_F(ExecutorTest, PropertyPathZeroOrOne) {
   auto r = Q("SELECT DISTINCT ?x WHERE { "
              "?a foaf:name \"Alice\" . ?a foaf:knows? ?x }");
   EXPECT_EQ(r.rows.size(), 3u);  // self + two direct
+}
+
+TEST_F(ExecutorTest, PathUniverseSurvivesNestedGraphPattern) {
+  // Each pair of the outer path runs the GRAPH block, whose closure over
+  // two unbound ends reads ex:g's node universe. The outer path's second
+  // branch must still range over the default graph's nodes.
+  ASSERT_TRUE(db_.LoadTurtleString("@prefix ex: <http://example.org/> .\n"
+                                   "ex:p1 ex:p ex:p2 . ex:q1 ex:q ex:q2 .")
+                  .ok());
+  ASSERT_TRUE(db_.LoadTurtleString("@prefix ex: <http://example.org/> .\n"
+                                   "ex:g1 ex:r ex:g2 . ex:g2 ex:r ex:g3 .",
+                                   "http://example.org/g")
+                  .ok());
+  auto outer = Q("SELECT ?x ?y WHERE { ?x (ex:p*|ex:q*) ?y }");
+  auto inner = Q("SELECT ?a ?b WHERE { GRAPH ex:g { ?a ex:r* ?b } }");
+  ASSERT_EQ(inner.rows.size(), 6u);  // three zero-length pairs, three edges
+  auto both = Q("SELECT ?x ?y ?a ?b WHERE { ?x (ex:p*|ex:q*) ?y . "
+                "GRAPH ex:g { ?a ex:r* ?b } }");
+  EXPECT_EQ(both.rows.size(), outer.rows.size() * inner.rows.size());
+  // Every outer pair, once per inner pair.
+  std::multiset<std::string> want, got;
+  for (const auto& row : outer.rows) {
+    for (size_t i = 0; i < inner.rows.size(); ++i) {
+      want.insert(row[0].ToString() + " " + row[1].ToString());
+    }
+  }
+  for (const auto& row : both.rows) {
+    got.insert(row[0].ToString() + " " + row[1].ToString());
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST_F(ExecutorTest, NegatedPropertySet) {
