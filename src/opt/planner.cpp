@@ -28,14 +28,18 @@ const char* PhysicalOpName(PhysicalOp op) {
       return "merge-join";
     case PhysicalOp::kHashJoin:
       return "hash-join";
+    case PhysicalOp::kBindJoin:
+      return "bind-join";
   }
   return "?";
 }
 
-PhysicalOp ChoosePhysicalJoin(bool merge_possible, double left_rows,
-                              double right_rows, bool* build_left) {
-  if (build_left != nullptr) *build_left = left_rows <= right_rows;
-  if (merge_possible) return PhysicalOp::kMergeJoin;
+PhysicalOp ChoosePhysicalJoin(const JoinInputs& in, bool* build_left) {
+  if (build_left != nullptr) *build_left = in.left_rows <= in.right_rows;
+  if (in.bind_possible && in.left_keys * kBindProbeCost < in.right_rows) {
+    return PhysicalOp::kBindJoin;
+  }
+  if (in.merge_possible) return PhysicalOp::kMergeJoin;
   return PhysicalOp::kHashJoin;
 }
 

@@ -80,24 +80,47 @@ struct BgpPlan {
 
 /// Physical operator executing one step of an ID-space BGP pipeline: the
 /// first pattern is always an index scan over the best-fitting permutation;
-/// every later pattern joins the accumulated intermediate result with its
-/// own index scan via merge or hash.
+/// every later pattern either probes its permutation once per left key
+/// (bind join) or joins the accumulated intermediate result with its own
+/// index scan via merge or hash.
 enum class PhysicalOp {
   kIndexScan,
   kMergeJoin,
   kHashJoin,
+  kBindJoin,
 };
 
 const char* PhysicalOpName(PhysicalOp op);
 
-/// Cost rule for one join step over the ID space. `merge_possible` means
-/// both inputs arrive sorted on the single shared join variable — the
-/// permutation indexes provide sort order for free and no sort operator
-/// exists, so a merge join is then strictly cheapest (one interleaved
-/// pass, no build table). Otherwise a hash join, building on the smaller
-/// input; `*build_left` reports which side that is.
-PhysicalOp ChoosePhysicalJoin(bool merge_possible, double left_rows,
-                              double right_rows, bool* build_left);
+/// Exact sizes one join step is chosen from; each costs at most a binary
+/// search over a permutation or one pass over the materialized left side.
+struct JoinInputs {
+  /// Both inputs arrive sorted on the single shared join variable.
+  bool merge_possible = false;
+  /// The pattern shares a variable with the left side, so its
+  /// permutation can be probed with the left side's values.
+  bool bind_possible = false;
+  double left_rows = 0;
+  /// Probes a bind join would run: runs of equal probe keys in left-side
+  /// order (consecutive equal keys share one probe).
+  double left_keys = 0;
+  /// Length of the pattern's constant prefix range (PrefixScan::raw_rows).
+  double right_rows = 0;
+};
+
+/// Cost of one bind-join probe (two binary searches over a permutation,
+/// plus the delta run's) in units of one range row scanned and
+/// merge-joined. DESIGN.md ("ID-join executor") records its calibration.
+constexpr double kBindProbeCost = 20.0;
+
+/// Cost rule for one join step over the ID space. A bind join wins when
+/// its probes cost less than reading the pattern's whole range:
+/// left_keys * kBindProbeCost < right_rows. Otherwise, when both inputs
+/// arrive sorted on the shared variable — the permutation indexes provide
+/// sort order for free and no sort operator exists — a merge join (one
+/// interleaved pass, no build table); else a hash join, building on the
+/// smaller input. `*build_left` reports which side that is.
+PhysicalOp ChoosePhysicalJoin(const JoinInputs& in, bool* build_left);
 
 /// Join-order enumeration over the conjuncts of a basic graph pattern:
 /// exhaustive dynamic programming (Selinger-style over subsets, cost = sum

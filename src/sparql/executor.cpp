@@ -864,9 +864,18 @@ class ExecImpl {
     bool reordered = false;
   };
 
+  /// Orders `bgp` for execution; `estimate` asks for the per-step
+  /// estimates too (EXPLAIN and traces). A one-pattern BGP has nothing to
+  /// order and skips the planner and its memo — OPTIONAL, UNION and
+  /// FILTER-!bound arms are such BGPs and come here once per outer row.
   OrderedBgp OrderBgp(const std::vector<const TriplePattern*>& bgp,
                       const std::vector<const ast::Expr*>& filters,
-                      const State& st) const {
+                      const State& st, bool estimate) const {
+    OrderedBgp out;
+    if (bgp.size() == 1 && !estimate) {
+      out.patterns = bgp;
+      return out;
+    }
     std::vector<opt::PatternDesc> descs;
     descs.reserve(bgp.size());
     for (const TriplePattern* tp : bgp) descs.push_back(MakeDesc(*tp, st));
@@ -876,8 +885,7 @@ class ExecImpl {
         options_.stats == nullptr ? nullptr : options_.stats->Find(st.graph);
     opt::CardinalityEstimator estimator(st.graph, stats);
 
-    OrderedBgp out;
-    if (!options_.optimize_join_order) {
+    if (!options_.optimize_join_order || bgp.size() == 1) {
       // Textual order; still estimate each step so EXPLAIN has numbers.
       std::set<std::string> bound;
       double card = 1.0;
@@ -937,7 +945,7 @@ class ExecImpl {
                        State& st, const Cont& k) {
     std::chrono::steady_clock::time_point opt_start;
     if (profile_) opt_start = std::chrono::steady_clock::now();
-    OrderedBgp ordered = OrderBgp(bgp, filters, st);
+    OrderedBgp ordered = OrderBgp(bgp, filters, st, profile_);
     if (profile_) {
       optimize_nanos_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
                              std::chrono::steady_clock::now() - opt_start)
@@ -1049,51 +1057,51 @@ class ExecImpl {
     // grown by delta commits), and every delta op carries its batch's
     // epoch, which the run resolution filtered against `snapshot`.
     assert(st.graph->SnapshotEpoch() >= snapshot);
-    IdJoinResult res;
-    bool overflow = false;
     std::function<Status()> interrupt;
     if (options_.query != nullptr) {
       interrupt = [this]() { return CheckInterrupt(); };
     }
-    Status js = ExecuteIdJoin(idx, delta_runs.empty() ? nullptr : &delta_runs,
-                              pats, options_.id_join_max_rows, interrupt,
-                              &res, &overflow);
-    if (!js.ok()) return Result<bool>(js);
-    if (overflow) return std::nullopt;
 
-    if (profile_) RecordIdJoinProfile(ordered, bgp, slot_vars, res);
-
-    // Emit the solutions: bind the slot variables through pre-inserted
-    // map cells (Binding is node-based, so the iterators survive whatever
-    // the continuation does to other keys), check the array residuals,
-    // then apply every pushed filter — the same end-of-BGP accept/reject
-    // state scan-and-bind reaches, since EvalFilter maps evaluation
-    // errors to rejection.
-    const size_t stride = res.slots.size();
-    std::vector<Binding::iterator> cells(stride);
-    std::vector<const Term*> must_equal(stride, nullptr);
-    for (size_t c = 0; c < stride; ++c) {
-      auto r = residual.find(res.slots[c]);
-      if (r != residual.end()) {
-        must_equal[c] = &r->second;
-      } else {
-        cells[c] = st.binding
-                       .emplace(slot_vars[static_cast<size_t>(res.slots[c])],
-                                Term())
-                       .first;
-      }
-    }
+    // The sink binds each finished row's slot variables through
+    // pre-inserted map cells (Binding is node-based, so the iterators
+    // survive whatever the continuation does to other keys), checks the
+    // array residuals, then applies every pushed filter — the same
+    // end-of-BGP accept/reject state scan-and-bind reaches, since
+    // EvalFilter maps evaluation errors to rejection. The join fixes its
+    // row layout before the first row, so the cells are set up then.
+    IdJoinResult res;
+    std::vector<Binding::iterator> cells;
+    std::vector<const Term*> must_equal;
+    bool cells_ready = false;
     bool keep_going = true;
     Status inner = Status::OK();
-    for (size_t r = 0; r < res.rows && keep_going; ++r) {
+    auto sink = [&](const uint32_t* row) -> bool {
+      const size_t stride = res.slots.size();
+      if (!cells_ready) {
+        cells.resize(stride);
+        must_equal.assign(stride, nullptr);
+        for (size_t c = 0; c < stride; ++c) {
+          auto r = residual.find(res.slots[c]);
+          if (r != residual.end()) {
+            must_equal[c] = &r->second;
+          } else {
+            cells[c] =
+                st.binding
+                    .emplace(slot_vars[static_cast<size_t>(res.slots[c])],
+                             Term())
+                    .first;
+          }
+        }
+        cells_ready = true;
+      }
       Status alive = CheckInterrupt();
       if (!alive.ok()) {
         inner = alive;
-        break;
+        return false;
       }
       bool pass = true;
       for (size_t c = 0; c < stride && pass; ++c) {
-        const Term& t = dict.term(res.data[r * stride + c]);
+        const Term& t = dict.term(row[c]);
         if (must_equal[c] != nullptr) {
           pass = t == *must_equal[c];
         } else {
@@ -1104,23 +1112,31 @@ class ExecImpl {
         Result<bool> pb = EvalFilter(*filters[f], st);
         if (!pb.ok()) {
           inner = pb.status();
-          keep_going = false;
-          pass = false;
-          break;
+          return false;
         }
         pass = *pb;
       }
-      if (!pass) continue;
+      if (!pass) return true;
       Result<bool> kr = k();
       if (!kr.ok()) {
         inner = kr.status();
-        break;
+        return false;
       }
-      if (!*kr) keep_going = false;
+      keep_going = *kr;
+      return keep_going;
+    };
+    bool overflow = false;
+    Status js = ExecuteIdJoin(idx, delta_runs.empty() ? nullptr : &delta_runs,
+                              pats, options_.id_join_max_rows, interrupt, sink,
+                              &res, &overflow);
+    if (cells_ready) {
+      for (size_t c = 0; c < cells.size(); ++c) {
+        if (must_equal[c] == nullptr) st.binding.erase(cells[c]);
+      }
     }
-    for (size_t c = 0; c < stride; ++c) {
-      if (must_equal[c] == nullptr) st.binding.erase(cells[c]);
-    }
+    if (!js.ok()) return Result<bool>(js);
+    if (overflow) return std::nullopt;
+    if (profile_) RecordIdJoinProfile(ordered, bgp, slot_vars, res);
     if (!inner.ok()) return Result<bool>(inner);
     return Result<bool>(keep_going);
   }
@@ -1149,9 +1165,11 @@ class ExecImpl {
       // concurrent writes shows the ID path holding rather than falling
       // back to term scans.
       if (s.delta) label += "+delta";
-      if (s.op == opt::PhysicalOp::kMergeJoin && s.join_slot >= 0) {
-        label += " on ?" + slot_vars[static_cast<size_t>(s.join_slot)];
-      } else if (s.op == opt::PhysicalOp::kHashJoin) {
+      for (size_t x = 0; x < s.on.size(); ++x) {
+        label += (x == 0 ? " on ?" : ", ?") +
+                 slot_vars[static_cast<size_t>(s.on[x])];
+      }
+      if (s.op == opt::PhysicalOp::kHashJoin) {
         label += s.build_left ? ", build=left" : ", build=scan";
       }
       label += ")";
@@ -2098,7 +2116,7 @@ class ExecImpl {
         auto it = plan_records_.find(bgp.empty() ? nullptr : bgp[0]);
         if (it != plan_records_.end()) rec = &it->second;
         OrderedBgp planned;
-        if (rec == nullptr) planned = OrderBgp(bgp, filters, st);
+        if (rec == nullptr) planned = OrderBgp(bgp, filters, st, true);
         const std::vector<const TriplePattern*>& order =
             rec != nullptr ? rec->order : planned.patterns;
         const std::vector<int64_t>& est = rec != nullptr ? rec->est

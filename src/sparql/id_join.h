@@ -127,48 +127,70 @@ struct IdPattern {
 };
 
 /// What one pipeline step did, for EXPLAIN / tracing: the permutation its
-/// index scan used, how it was joined into the accumulated result, and the
-/// scan / output cardinalities.
+/// index scan (or its probes) used, how it was joined into the accumulated
+/// result, and the input / output cardinalities.
 struct IdJoinStep {
   opt::PhysicalOp op = opt::PhysicalOp::kIndexScan;
-  Perm perm = Perm::kSpo;  // permutation the step's index scan probed
-  int join_slot = -1;      // merge-join key slot (kMergeJoin only)
-  bool build_left = false; // hash build side (kHashJoin only)
-  bool delta = false;      // scan merged a pending delta run
-  size_t scan_rows = 0;    // rows in the scan's prefix range(s)
-  size_t out_rows = 0;     // accumulated rows after this step
+  Perm perm = Perm::kSpo;   // permutation the step's scan or probes read
+  std::vector<int> on;      // merge key slot, or a bind join's probe slots
+  bool build_left = false;  // hash build side (kHashJoin only)
+  bool delta = false;       // a scan or probe merged a pending delta run
+  size_t scan_rows = 0;     // rows in the scanned range; for a bind join,
+                            // the summed length of the ranges it probed
+  size_t out_rows = 0;      // rows that left this step
 };
 
-/// Materialized join result: `data` is row-major with stride
-/// `slots.size()`; column c holds the IDs bound to slot `slots[c]`.
+/// Layout and profile of one join: every emitted row has one column per
+/// entry of `slots` (column c holds the ID bound to slot `slots[c]`).
+/// `slots` is filled before the first row is emitted.
 struct IdJoinResult {
   std::vector<int> slots;
-  std::vector<uint32_t> data;
-  size_t rows = 0;
   std::vector<IdJoinStep> steps;
 };
 
-/// Evaluates a BGP entirely over the sorted ID-tuple permutation indexes:
-/// each pattern becomes a prefix-range index scan, joined into the
-/// accumulated intermediate result by merge join when both sides arrive
-/// sorted on their single shared slot, else by hash join building the
-/// smaller side (opt::ChoosePhysicalJoin). Duplicates are preserved
-/// (multiset semantics); a pattern sharing no slot degenerates to a cross
-/// product. Patterns execute in the given (planner) order.
+/// Receives each finished join row (`slots.size()` IDs); returning false
+/// stops the join.
+using IdRowSink = std::function<bool(const uint32_t* row)>;
+
+/// Evaluates a BGP entirely over the sorted ID-tuple permutation indexes.
+/// The first pattern is a prefix-range index scan over its constants; each
+/// later pattern joins the accumulated relation by the operator
+/// opt::ChoosePhysicalJoin picks from exact sizes:
+///   - bind join: for each left row, one PrefixScan keyed by the pattern's
+///     constants plus the left row's values of the shared slots (SPO for
+///     (s,p[,o]), POS for (p,o), OSP for (o,s)); consecutive left rows
+///     with the same key reuse the previous probe, and the left side's
+///     sort order survives;
+///   - merge join, when both sides arrive sorted on their single shared
+///     slot;
+///   - hash join over the full prefix range otherwise, building the
+///     smaller side.
+/// Duplicates are preserved (multiset semantics); a pattern sharing no
+/// slot degenerates to a cross product. Patterns execute in the given
+/// (planner) order.
+///
+/// Operators are chosen step by step against the materialized left side.
+/// When a bind join is chosen and every later step would be one too, with
+/// that left side's row count as its probe count, the remaining steps run
+/// depth-first, one left row at a time, and every finished row goes
+/// straight to `emit`; a false from `emit` stops the probes (ASK, LIMIT).
+/// Otherwise the step's output is materialized and the next step is
+/// chosen from its exact size.
 ///
 /// `delta` (may be null) is the graph's pending differential index
 /// resolved at the query's snapshot epoch (Graph::SnapshotDeltaIds). When
-/// non-empty, every index scan is a PrefixScan two-run merge, whose output
-/// stays sorted, so merge-join eligibility survives concurrent writes.
+/// non-empty, every scan and probe is a PrefixScan two-run merge, whose
+/// output stays sorted, so merge-join eligibility survives concurrent
+/// writes.
 ///
-/// If any intermediate result would exceed `max_rows`, sets *overflow and
-/// returns OK with `out` incomplete — the caller falls back to
-/// scan-and-bind. `interrupt` (may be null) is polled between operators
-/// and inside long loops; its error aborts the join.
+/// If a materialized intermediate result would exceed `max_rows`, sets
+/// *overflow and returns OK before any row was emitted — the caller falls
+/// back to scan-and-bind. `interrupt` (may be null) is polled between
+/// operators and inside long loops; its error aborts the join.
 Status ExecuteIdJoin(const IdIndexes& idx, const DeltaIdRuns* delta,
                      const std::vector<IdPattern>& patterns, size_t max_rows,
                      const std::function<Status()>& interrupt,
-                     IdJoinResult* out, bool* overflow);
+                     const IdRowSink& emit, IdJoinResult* out, bool* overflow);
 
 }  // namespace sparql
 }  // namespace scisparql
