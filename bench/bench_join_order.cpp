@@ -16,6 +16,9 @@
 // (`bench_join_order --smoke`, one timing iteration) doubles as a
 // regression gate. The join-order A/B pins use_id_joins off: ID joins make
 // both pattern orders fast, which is exactly what --dict-smoke measures.
+// With use_id_joins on, every BGP runs as an ID join; off selects
+// scan-and-bind, which runs nowhere else and serves these gates and the
+// equivalence tests as the reference.
 //
 // `bench_join_order --dict-smoke` is the dictionary/ID-join gate: it
 // builds SP²Bench-style star and chain workloads at 1M+ triples each,

@@ -30,6 +30,8 @@ const char* PhysicalOpName(PhysicalOp op) {
       return "hash-join";
     case PhysicalOp::kBindJoin:
       return "bind-join";
+    case PhysicalOp::kPath:
+      return "path";
   }
   return "?";
 }

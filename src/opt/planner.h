@@ -79,15 +79,17 @@ struct BgpPlan {
 };
 
 /// Physical operator executing one step of an ID-space BGP pipeline: the
-/// first pattern is always an index scan over the best-fitting permutation;
-/// every later pattern either probes its permutation once per left key
-/// (bind join) or joins the accumulated intermediate result with its own
-/// index scan via merge or hash.
+/// first pattern is an index scan over the best-fitting permutation (as is
+/// a later one sharing no variable that runs per left row); every later
+/// pattern either probes its permutation once per left key (bind join) or
+/// joins the accumulated intermediate result with its own index scan via
+/// merge or hash. A property path evaluates once per left row.
 enum class PhysicalOp {
   kIndexScan,
   kMergeJoin,
   kHashJoin,
   kBindJoin,
+  kPath,
 };
 
 const char* PhysicalOpName(PhysicalOp op);

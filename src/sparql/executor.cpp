@@ -322,28 +322,24 @@ void ExtractFilterHints(const ast::Expr& e,
 
 /// Builds the plan-memo key for a resolved BGP: every pattern position
 /// rendered as either its constant term or its variable name, plus the
-/// filter hints that feed the cost model. Returns false (no memoization)
-/// when a resolved constant is an array — rendering one would materialize
-/// the proxy, which costs more than planning.
-bool MemoSignature(const std::vector<opt::PatternDesc>& descs,
-                   const std::vector<opt::FilterHint>& hints,
-                   std::string* out) {
+/// filter hints that feed the cost model. (No position holds an array:
+/// MakeDesc leaves those symbolic.)
+std::string MemoSignature(const std::vector<opt::PatternDesc>& descs,
+                          const std::vector<opt::FilterHint>& hints) {
   std::string sig;
   auto pos = [&sig](const std::optional<Term>& c, const std::string& var) {
     if (c.has_value()) {
-      if (c->kind() == Term::Kind::kArray) return false;
       sig += c->ToString();
     } else {
       sig += '?';
       sig += var;
     }
     sig += '\x1f';
-    return true;
   };
   for (const opt::PatternDesc& d : descs) {
-    if (!pos(d.s, d.s_var) || !pos(d.p, d.p_var) || !pos(d.o, d.o_var)) {
-      return false;
-    }
+    pos(d.s, d.s_var);
+    pos(d.p, d.p_var);
+    pos(d.o, d.o_var);
     if (d.is_path) sig += '~';
     sig += '\x1e';
   }
@@ -353,8 +349,7 @@ bool MemoSignature(const std::vector<opt::PatternDesc>& descs,
     sig += std::to_string(h.bound);
     sig += '\x1f';
   }
-  *out = std::move(sig);
-  return true;
+  return sig;
 }
 
 /// Lexicographic row comparator on Term::Compare, for DISTINCT/dedup sets.
@@ -830,21 +825,23 @@ class ExecImpl {
 
   /// Abstracts a triple pattern for the cost model: variables already bound
   /// in the current solution are resolved to constants, the rest stay
-  /// symbolic so the estimator can discount them as join variables.
+  /// symbolic so the estimator can discount them as join variables. An
+  /// array (constant or bound) stays symbolic and anonymous: the ID join
+  /// reads it as an unbound slot checked by value, over the whole range.
   opt::PatternDesc MakeDesc(const TriplePattern& tp, const State& st) const {
     opt::PatternDesc d;
     auto fill = [&](const VarOrTerm& vt, std::optional<Term>* c,
                     std::string* var) {
-      if (!vt.is_var) {
-        *c = vt.term;
-        return;
+      const Term* value = &vt.term;
+      if (vt.is_var) {
+        auto it = st.binding.find(vt.var);
+        if (it == st.binding.end()) {
+          *var = vt.var;
+          return;
+        }
+        value = &it->second;
       }
-      auto it = st.binding.find(vt.var);
-      if (it != st.binding.end()) {
-        *c = it->second;
-      } else {
-        *var = vt.var;
-      }
+      if (!value->IsArray()) *c = *value;
     };
     fill(tp.s, &d.s, &d.s_var);
     if (tp.path != nullptr) {
@@ -903,9 +900,10 @@ class ExecImpl {
     // Plan memo: the same resolved-pattern signature planned against the
     // same graph version reuses the prior join order; on version drift the
     // memo entry is dropped and the enumeration runs again.
-    std::string memo_sig;
-    bool memoizable = options_.plan_memo != nullptr && st.graph != nullptr &&
-                      MemoSignature(descs, hints, &memo_sig);
+    const bool memoizable =
+        options_.plan_memo != nullptr && st.graph != nullptr;
+    const std::string memo_sig =
+        memoizable ? MemoSignature(descs, hints) : std::string();
     if (memoizable) {
       cache::PlanMemo::Entry hit;
       if (options_.plan_memo->Lookup(memo_sig, st.graph, st.graph->version(),
@@ -958,28 +956,23 @@ class ExecImpl {
                             PlanRecord{ordered.patterns, ordered.est,
                                        ordered.reordered});
     }
-    std::optional<Result<bool>> fast =
-        TryEvalBgpIds(ordered, bgp, filters, st, k);
-    if (fast.has_value()) return *fast;
+    if (options_.use_id_joins && st.graph != nullptr) {
+      return EvalBgpIds(ordered.patterns, bgp, filters, st, k);
+    }
     std::vector<bool> filter_done(filters.size(), false);
     return EvalBgpRec(ordered.patterns, filters, &filter_done, 0, st, k);
   }
 
-  /// Attempts to evaluate the ordered BGP over the graph's dictionary-ID
-  /// permutation indexes (merge / hash joins instead of nested
-  /// scan-and-bind), merging any pending delta at a snapshot epoch
-  /// captured on entry. Returns nullopt when the fast path does not apply
-  /// — single pattern, property paths, or an intermediate result past the
-  /// materialization cap — and the caller falls back to scan-and-bind.
-  std::optional<Result<bool>> TryEvalBgpIds(
-      const OrderedBgp& ordered, const std::vector<const TriplePattern*>& bgp,
-      const std::vector<const ast::Expr*>& filters, State& st, const Cont& k) {
-    if (!options_.use_id_joins || st.graph == nullptr) return std::nullopt;
-    if (ordered.patterns.size() < 2) return std::nullopt;
-    for (const TriplePattern* tp : ordered.patterns) {
-      if (tp->path != nullptr) return std::nullopt;
-    }
-    const TermDictionary& dict = st.graph->dict();
+  /// Evaluates the ordered patterns as one ID join over the graph's
+  /// dictionary-ID permutation indexes (ExecuteIdJoin), merging any
+  /// pending delta at a snapshot epoch captured on entry. `bgp` keys the
+  /// plan record that takes the EXPLAIN operator labels (empty: none).
+  Result<bool> EvalBgpIds(const std::vector<const TriplePattern*>& patterns,
+                          const std::vector<const TriplePattern*>& bgp,
+                          const std::vector<const ast::Expr*>& filters,
+                          State& st, const Cont& k) {
+    const Graph& g = *st.graph;
+    const TermDictionary& dict = g.dict();
 
     // Pin the read snapshot *before* touching the dictionary or the
     // delta: writers intern a batch's terms and splice its delta cells
@@ -987,9 +980,14 @@ class ExecImpl {
     // with epoch <= snapshot is fully resolvable below, and every later
     // batch is excluded by the epoch filter — exactly MatchAt(snapshot)
     // semantics, even while writers keep committing mid-query.
-    const uint64_t snapshot = st.graph->SnapshotEpoch();
+    const uint64_t snapshot = g.SnapshotEpoch();
     DeltaIdRuns delta_runs;
-    st.graph->SnapshotDeltaIds(snapshot, &delta_runs);
+    g.SnapshotDeltaIds(snapshot, &delta_runs);
+    const DeltaIdRuns* delta = delta_runs.empty() ? nullptr : &delta_runs;
+    std::function<Status()> interrupt;
+    if (options_.query != nullptr) {
+      interrupt = [this]() { return CheckInterrupt(); };
+    }
 
     // Lower the patterns to the ID space: constants and already-bound
     // variables resolve through the dictionary, unbound variables get
@@ -998,69 +996,81 @@ class ExecImpl {
     // Arrays are the exception — they intern by object identity — so an
     // array constant (or outer-bound array value) becomes an anonymous
     // slot whose bound term is checked by value after the join.
-    std::vector<std::string> slot_vars;
-    std::map<std::string, int> slot_of;
-    std::map<int, Term> residual;  // anonymous slot -> array it must equal
-    bool missing_const = false;
-    auto lower = [&](const VarOrTerm& vt) -> IdSlot {
-      IdSlot s;
+    std::vector<std::string> slot_vars;  // "": anonymous slot
+    std::vector<std::pair<int, const Term*>> residual;  // slot, array
+    // Returns the term when it is absent from the dictionary.
+    auto lower = [&](const VarOrTerm& vt, IdSlot* s) -> const Term* {
       const Term* value = &vt.term;
       if (vt.is_var) {
         auto bound = st.binding.find(vt.var);
         if (bound == st.binding.end()) {
-          auto [it, fresh] =
-              slot_of.emplace(vt.var, static_cast<int>(slot_vars.size()));
-          if (fresh) slot_vars.push_back(vt.var);
-          s.is_var = true;
-          s.slot = it->second;
-          return s;
+          auto it = std::find(slot_vars.begin(), slot_vars.end(), vt.var);
+          s->is_var = true;
+          s->slot = static_cast<int>(it - slot_vars.begin());
+          if (it == slot_vars.end()) slot_vars.push_back(vt.var);
+          return nullptr;
         }
         value = &bound->second;
       }
       if (value->IsArray()) {
-        s.is_var = true;
-        s.slot = static_cast<int>(slot_vars.size());
+        s->is_var = true;
+        s->slot = static_cast<int>(slot_vars.size());
         slot_vars.emplace_back();
-        residual.emplace(s.slot, *value);
-        return s;
+        residual.emplace_back(s->slot, value);
+        return nullptr;
       }
       std::optional<uint32_t> id = dict.Find(*value);
-      if (!id.has_value()) {
-        missing_const = true;
-        return s;
-      }
-      s.const_id = *id;
-      return s;
+      if (!id.has_value()) return value;
+      s->const_id = *id;
+      return nullptr;
     };
-    std::vector<IdPattern> pats;
-    pats.reserve(ordered.patterns.size());
-    for (const TriplePattern* tp : ordered.patterns) {
-      IdPattern p;
-      p.s = lower(tp->s);
-      p.p = lower(tp->p);
-      p.o = lower(tp->o);
-      pats.push_back(p);
+    // A constant absent from the dictionary occurs in no triple — delta
+    // triples included, since Apply interns them before publishing their
+    // epoch and our snapshot was captured before these Finds ran — so a
+    // triple pattern holding one has no solutions. A path end holding one
+    // still connects to itself by a zero-length path: it gets a stand-in
+    // ID past the dictionary.
+    std::vector<IdPattern> pats(patterns.size());
+    std::vector<std::unique_ptr<PathEvaluator>> paths;
+    std::vector<std::pair<uint32_t*, const Term*>> missing_ends;
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      const TriplePattern& tp = *patterns[i];
+      IdPattern& p = pats[i];
+      const Term* miss_s = lower(tp.s, &p.s);
+      const Term* miss_o = lower(tp.o, &p.o);
+      if (tp.path == nullptr) {
+        if (miss_s != nullptr || miss_o != nullptr ||
+            lower(tp.p, &p.p) != nullptr) {
+          return Result<bool>(true);
+        }
+        continue;
+      }
+      paths.push_back(std::make_unique<PathEvaluator>(
+          *tp.path, g, snapshot, delta, options_.max_path_visits, interrupt,
+          &path_scratch_));
+      p.path = paths.back().get();
+      if (miss_s != nullptr) missing_ends.emplace_back(&p.s.const_id, miss_s);
+      if (miss_o != nullptr) missing_ends.emplace_back(&p.o.const_id, miss_o);
     }
-    if (missing_const) {
-      // A constant absent from the dictionary occurs in no triple — delta
-      // triples included, since Apply interns them before publishing
-      // their epoch and our snapshot was captured before these Finds ran:
-      // the BGP has zero solutions and evaluation simply continues.
-      return Result<bool>(true);
+    // Read after the Finds and the evaluators' construction, so every ID
+    // they hold lies below it; the stand-ins are numbered from it.
+    const size_t dict_limit = dict.size();
+    std::vector<const Term*> extras;
+    for (const auto& [id, term] : missing_ends) {
+      size_t x = 0;
+      while (x < extras.size() && !Term::Identical(*extras[x], *term)) ++x;
+      if (x == extras.size()) extras.push_back(term);
+      *id = static_cast<uint32_t>(dict_limit + x);
     }
 
-    const IdIndexes& idx = st.graph->EnsureIdIndexes();
+    const IdIndexes& idx = g.EnsureIdIndexes();
     // A batch committing between the snapshot capture above and this
     // point cannot leak post-snapshot rows into the join: the base table
     // and its permutations are immutable under the shared lock (folds and
     // base-mode writes require exclusivity, so the epoch can only have
     // grown by delta commits), and every delta op carries its batch's
     // epoch, which the run resolution filtered against `snapshot`.
-    assert(st.graph->SnapshotEpoch() >= snapshot);
-    std::function<Status()> interrupt;
-    if (options_.query != nullptr) {
-      interrupt = [this]() { return CheckInterrupt(); };
-    }
+    assert(g.SnapshotEpoch() >= snapshot);
 
     // The sink binds each finished row's slot variables through
     // pre-inserted map cells (Binding is node-based, so the iterators
@@ -1070,29 +1080,26 @@ class ExecImpl {
     // EvalFilter maps evaluation errors to rejection. The join fixes its
     // row layout before the first row, so the cells are set up then.
     IdJoinResult res;
-    std::vector<Binding::iterator> cells;
-    std::vector<const Term*> must_equal;
-    bool cells_ready = false;
+    // Per column: the binding cell it sets, or the array it must equal.
+    std::vector<std::pair<Binding::iterator, const Term*>> cells;
     bool keep_going = true;
     Status inner = Status::OK();
     auto sink = [&](const uint32_t* row) -> bool {
       const size_t stride = res.slots.size();
-      if (!cells_ready) {
+      if (cells.size() != stride) {
         cells.resize(stride);
-        must_equal.assign(stride, nullptr);
         for (size_t c = 0; c < stride; ++c) {
-          auto r = residual.find(res.slots[c]);
-          if (r != residual.end()) {
-            must_equal[c] = &r->second;
-          } else {
-            cells[c] =
-                st.binding
-                    .emplace(slot_vars[static_cast<size_t>(res.slots[c])],
-                             Term())
+          const int slot = res.slots[c];
+          for (const auto& [r, array] : residual) {
+            if (r == slot) cells[c].second = array;
+          }
+          if (cells[c].second == nullptr) {
+            cells[c].first =
+                st.binding.emplace(slot_vars[static_cast<size_t>(slot)],
+                                   Term())
                     .first;
           }
         }
-        cells_ready = true;
       }
       Status alive = CheckInterrupt();
       if (!alive.ok()) {
@@ -1101,11 +1108,12 @@ class ExecImpl {
       }
       bool pass = true;
       for (size_t c = 0; c < stride && pass; ++c) {
-        const Term& t = dict.term(row[c]);
-        if (must_equal[c] != nullptr) {
-          pass = t == *must_equal[c];
+        const Term& t = row[c] < dict_limit ? dict.term(row[c])
+                                            : *extras[row[c] - dict_limit];
+        if (cells[c].second != nullptr) {
+          pass = t == *cells[c].second;
         } else {
-          cells[c]->second = t;
+          cells[c].first->second = t;
         }
       }
       for (size_t f = 0; f < filters.size() && pass; ++f) {
@@ -1125,18 +1133,15 @@ class ExecImpl {
       keep_going = *kr;
       return keep_going;
     };
-    bool overflow = false;
-    Status js = ExecuteIdJoin(idx, delta_runs.empty() ? nullptr : &delta_runs,
-                              pats, options_.id_join_max_rows, interrupt, sink,
-                              &res, &overflow);
-    if (cells_ready) {
-      for (size_t c = 0; c < cells.size(); ++c) {
-        if (must_equal[c] == nullptr) st.binding.erase(cells[c]);
-      }
+    // std::ref spares each run (an OPTIONAL arm's, once per outer row) the
+    // std::function's allocation.
+    Status js = ExecuteIdJoin(idx, delta, pats, kIdJoinMaxRows, interrupt,
+                              std::ref(sink), &res);
+    for (const auto& [cell, array] : cells) {
+      if (array == nullptr) st.binding.erase(cell);
     }
     if (!js.ok()) return Result<bool>(js);
-    if (overflow) return std::nullopt;
-    if (profile_) RecordIdJoinProfile(ordered, bgp, slot_vars, res);
+    if (profile_) RecordIdJoinProfile(patterns, bgp, slot_vars, res);
     if (!inner.ok()) return Result<bool>(inner);
     return Result<bool>(keep_going);
   }
@@ -1144,36 +1149,33 @@ class ExecImpl {
   /// Folds an ID-join run into the EXPLAIN / trace profile: per-pattern
   /// scan and output cardinalities, plus the physical-operator labels on
   /// the BGP's plan record (first run wins, matching plan capture).
-  void RecordIdJoinProfile(const OrderedBgp& ordered,
+  void RecordIdJoinProfile(const std::vector<const TriplePattern*>& patterns,
                            const std::vector<const TriplePattern*>& bgp,
                            const std::vector<std::string>& slot_vars,
                            const IdJoinResult& res) {
-    for (size_t i = 0; i < res.steps.size() && i < ordered.patterns.size();
-         ++i) {
-      scan_input_[ordered.patterns[i]] +=
-          static_cast<int64_t>(res.steps[i].scan_rows);
-      scan_actual_[ordered.patterns[i]] +=
-          static_cast<int64_t>(res.steps[i].out_rows);
+    for (size_t i = 0; i < res.steps.size(); ++i) {
+      scan_input_[patterns[i]] += static_cast<int64_t>(res.steps[i].scan_rows);
+      scan_actual_[patterns[i]] += static_cast<int64_t>(res.steps[i].out_rows);
     }
     if (bgp.empty()) return;
     auto it = plan_records_.find(bgp[0]);
     if (it == plan_records_.end() || !it->second.phys.empty()) return;
     for (const IdJoinStep& s : res.steps) {
-      std::string label = std::string(opt::PhysicalOpName(s.op)) + "(" +
-                          PermName(s.perm);
+      std::string label =
+          s.op == opt::PhysicalOp::kPath ? "" : PermName(s.perm);
       // Mark scans that merged a pending delta run, so EXPLAIN under
       // concurrent writes shows the ID path holding rather than falling
       // back to term scans.
       if (s.delta) label += "+delta";
       for (size_t x = 0; x < s.on.size(); ++x) {
-        label += (x == 0 ? " on ?" : ", ?") +
+        label += (x > 0 ? ", ?" : label.empty() ? "on ?" : " on ?") +
                  slot_vars[static_cast<size_t>(s.on[x])];
       }
       if (s.op == opt::PhysicalOp::kHashJoin) {
         label += s.build_left ? ", build=left" : ", build=scan";
       }
-      label += ")";
-      it->second.phys.push_back(std::move(label));
+      it->second.phys.push_back(std::string(opt::PhysicalOpName(s.op)) +
+                                "(" + label + ")");
     }
   }
 
@@ -1230,7 +1232,11 @@ class ExecImpl {
     Result<bool> result = true;
 
     if (tp.path != nullptr) {
-      result = EvalPathPattern(tp, patterns, filters, filter_done, i, st, k);
+      // There is one path evaluator: the pattern runs as an ID join of one
+      // step, continuing into the rest of the BGP.
+      result = EvalBgpIds({&tp}, {}, {}, st, [&]() {
+        return EvalBgpRec(patterns, filters, filter_done, i + 1, st, k);
+      });
       undo_filters();
       return result;
     }
@@ -1275,122 +1281,6 @@ class ExecImpl {
       return keep_going;
     });
     undo_filters();
-    SCISPARQL_RETURN_NOT_OK(inner_status);
-    return keep_going;
-  }
-
-  /// Evaluates a property-path pattern over dictionary IDs (PathEvaluator)
-  /// and binds its unbound endpoint variables — the only place a path's
-  /// terms are materialized. Like TryEvalBgpIds, it pins the read snapshot
-  /// before touching the dictionary or the delta, so every probe merges
-  /// exactly the delta batches committed up to that epoch.
-  ///
-  /// Endpoints follow the BGP rule. A constant or bound value lowers
-  /// through the dictionary, so a numeric end matches by exact value; a
-  /// miss means no edge touches the node, though a zero-length path still
-  /// connects it to itself (it gets a stand-in ID past the dictionary). An
-  /// array end is an unbound end restricted by a residual Term::operator==
-  /// check: it stands for the value-equal arrays among the graph's nodes.
-  Result<bool> EvalPathPattern(
-      const TriplePattern& tp,
-      const std::vector<const TriplePattern*>& patterns,
-      const std::vector<const ast::Expr*>& filters,
-      std::vector<bool>* filter_done, size_t i, State& st, const Cont& k) {
-    constexpr uint32_t kAny = PathEvaluator::kAny;
-    const Graph& g = *st.graph;
-    const TermDictionary& dict = g.dict();
-    const uint64_t snapshot = g.SnapshotEpoch();
-    DeltaIdRuns delta_runs;
-    g.SnapshotDeltaIds(snapshot, &delta_runs);
-
-    auto bound_value = [&](const VarOrTerm& vt) -> const Term* {
-      if (!vt.is_var) return &vt.term;
-      auto it = st.binding.find(vt.var);
-      return it == st.binding.end() ? nullptr : &it->second;
-    };
-    const Term* ends[2] = {bound_value(tp.s), bound_value(tp.o)};
-    std::optional<uint32_t> hits[2];
-    for (int e = 0; e < 2; ++e) {
-      if (ends[e] != nullptr && !ends[e]->IsArray()) {
-        hits[e] = dict.Find(*ends[e]);
-      }
-    }
-    // Read after the Finds, so every ID they returned lies below it; the
-    // stand-ins for missed terms are numbered from it.
-    const size_t dict_limit = dict.size();
-    std::vector<Term> extras;
-    uint32_t ids[2] = {kAny, kAny};
-    for (int e = 0; e < 2; ++e) {
-      if (ends[e] == nullptr || ends[e]->IsArray()) continue;
-      if (hits[e].has_value()) {
-        ids[e] = *hits[e];
-      } else if (!extras.empty() && Term::Identical(extras[0], *ends[e])) {
-        ids[e] = static_cast<uint32_t>(dict_limit);
-      } else {
-        ids[e] = static_cast<uint32_t>(dict_limit + extras.size());
-        extras.push_back(*ends[e]);
-      }
-    }
-    auto term_of = [&](uint32_t id) -> const Term& {
-      return id < dict_limit ? dict.term(id) : extras[id - dict_limit];
-    };
-
-    std::function<Status()> interrupt;
-    if (options_.query != nullptr) {
-      interrupt = [this]() { return CheckInterrupt(); };
-    }
-    PathEvaluator eval(*tp.path, g, snapshot, &delta_runs,
-                       options_.max_path_visits, std::move(interrupt),
-                       &path_scratch_);
-
-    std::vector<uint32_t> from[2] = {{ids[0]}, {ids[1]}};
-    for (int e = 0; e < 2; ++e) {
-      if (ends[e] == nullptr || !ends[e]->IsArray()) continue;
-      from[e].clear();
-      for (uint32_t n : eval.Universe()) {
-        const Term& t = dict.term(n);
-        if (t.IsArray() && t == *ends[e]) from[e].push_back(n);
-      }
-    }
-
-    // Unbound endpoint variables bind through pre-inserted map cells
-    // (Binding is node-based, so the iterators survive whatever the
-    // continuation does to other keys).
-    const bool s_free = tp.s.is_var && ends[0] == nullptr;
-    const bool o_free = tp.o.is_var && ends[1] == nullptr;
-    const bool same_var = s_free && o_free && tp.s.var == tp.o.var;
-    const bool bind_o = o_free && !same_var;
-    Binding::iterator s_cell, o_cell;
-    if (s_free) s_cell = st.binding.emplace(tp.s.var, Term()).first;
-    if (bind_o) o_cell = st.binding.emplace(tp.o.var, Term()).first;
-    bool keep_going = true;
-    Status inner_status = Status::OK();
-    auto on_pair = [&](uint32_t sv, uint32_t ov) -> bool {
-      if (profile_) ++scan_input_[patterns[i]];
-      if (same_var && sv != ov) return true;
-      if (s_free) s_cell->second = term_of(sv);
-      if (bind_o) o_cell->second = term_of(ov);
-      if (profile_) ++scan_actual_[patterns[i]];
-      Result<bool> r = EvalBgpRec(patterns, filters, filter_done, i + 1, st, k);
-      if (!r.ok()) {
-        inner_status = r.status();
-        keep_going = false;
-      } else if (!*r) {
-        keep_going = false;
-      }
-      return keep_going;
-    };
-    Status path_status = Status::OK();
-    for (size_t a = 0; a < from[0].size() && keep_going && path_status.ok();
-         ++a) {
-      for (size_t b = 0; b < from[1].size() && keep_going && path_status.ok();
-           ++b) {
-        path_status = eval.Eval(from[0][a], from[1][b], on_pair);
-      }
-    }
-    if (s_free) st.binding.erase(s_cell);
-    if (bind_o) st.binding.erase(o_cell);
-    SCISPARQL_RETURN_NOT_OK(path_status);
     SCISPARQL_RETURN_NOT_OK(inner_status);
     return keep_going;
   }

@@ -32,7 +32,6 @@ struct QueryResult {
   std::string ToTable(size_t max_rows = 50) const;
 };
 
-/// Execution options — the knobs the E8 ablation benchmark flips.
 /// Receiver of the physical mutations an Update() applies — the durability
 /// layer's WAL capture hook. Callbacks fire synchronously, in application
 /// order, for every logical mutation including indirect ones (collection
@@ -49,6 +48,7 @@ class MutationSink {
   virtual void OnClearAll() = 0;
 };
 
+/// Execution options — the knobs the E8 ablation benchmark flips.
 struct ExecOptions {
   /// Cost-based ordering of BGP triple patterns (Section 5.4's cost-based
   /// optimization): exhaustive DP for small BGPs, greedy beyond. Off =
@@ -58,17 +58,13 @@ struct ExecOptions {
   /// Hoist FILTERs to the earliest point where their variables are bound.
   bool push_filters = true;
 
-  /// Evaluate multi-pattern BGPs (no property paths) over the
-  /// dictionary-ID permutation indexes — prefix-range index scans
-  /// combined by merge / hash joins. Off = always scan-and-bind, the
-  /// reference the equivalence tests compare against. Property paths run
-  /// over IDs either way; there is one path evaluator.
+  /// Evaluate every BGP as one join over the dictionary-ID permutation
+  /// indexes (ExecuteIdJoin): index scans, bind / merge / hash joins and
+  /// path steps. Off = scan-and-bind over Graph::Match, kept as the
+  /// reference that the equivalence tests and the bench_join_order and
+  /// bench_concurrent_throughput gates compare against. Property paths
+  /// run over IDs either way; there is one path evaluator.
   bool use_id_joins = true;
-
-  /// Row cap for ID-join intermediate results. Past it the BGP falls back
-  /// to scan-and-bind, which streams bindings instead of materializing
-  /// the join.
-  size_t id_join_max_rows = 8u << 20;
 
   /// Graph statistics registry feeding the join-order cost model
   /// (per-predicate counts, distinct-value counts, histograms). Not owned;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "rdf/graph.h"
+#include "sparql/path_eval.h"
 
 namespace scisparql {
 namespace sparql {
@@ -25,13 +26,34 @@ PrefixScan::PrefixScan(const IdIndexes& idx, const DeltaIdRuns* delta,
 
 namespace {
 
+/// Up to three elements held inline, one per triple position, so that
+/// shaping a step allocates nothing: a one-pattern BGP, such as an
+/// OPTIONAL arm, runs once per outer row.
+template <typename T>
+class Small3 {
+ public:
+  void push_back(const T& x) { v_[n_++] = x; }
+  size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+  const T& operator[](size_t i) const { return v_[i]; }
+  const T* begin() const { return v_.data(); }
+  const T* end() const { return v_.data() + n_; }
+
+ private:
+  std::array<T, 3> v_{};
+  size_t n_ = 0;
+};
+
+using ColPairs = Small3<std::pair<size_t, size_t>>;
+
 /// An accumulated intermediate relation over slot columns. `sorted_slot`
 /// is a slot whose column is known non-decreasing across rows (-1 when no
-/// such guarantee holds) — the property that enables merge joins.
+/// such guarantee holds) — the property that enables merge joins. The
+/// default relation is the join's unit: one row of no columns.
 struct Relation {
   std::vector<int> slots;      // column c carries slot slots[c]
   std::vector<uint32_t> data;  // row-major, stride slots.size()
-  size_t rows = 0;
+  size_t rows = 1;
   int sorted_slot = -1;
 
   size_t width() const { return slots.size(); }
@@ -67,18 +89,21 @@ std::pair<Perm, int> PrefixPerm(const bool fixed[3]) {
 /// whose sort order turns the constant positions into a contiguous prefix,
 /// the output columns (variable components in key order, deduplicated),
 /// and any repeated-slot equality constraints filtered during the scan.
+/// A path's predicate position counts as a constant, so its output
+/// columns are its open ends.
 struct ScanPlan {
   Perm perm = Perm::kSpo;
   std::array<uint32_t, 3> key{0, 0, 0};
   int n_fixed = 0;
-  std::vector<int> out_comp;  // component (0=s,1=p,2=o) per output column
-  std::vector<int> out_slot;  // slot per output column
-  std::vector<std::pair<int, int>> eq;  // components that must match
+  Small3<int> out_comp;  // component (0=s,1=p,2=o) per output column
+  Small3<int> out_slot;  // slot per output column
+  Small3<std::pair<int, int>> eq;  // components that must match
 };
 
 ScanPlan PlanScan(const IdPattern& pat) {
   const IdSlot* pos[3] = {&pat.s, &pat.p, &pat.o};
-  const bool fixed[3] = {!pat.s.is_var, !pat.p.is_var, !pat.o.is_var};
+  const bool fixed[3] = {!pat.s.is_var, pat.path != nullptr || !pat.p.is_var,
+                         !pat.o.is_var};
   ScanPlan sp;
   std::tie(sp.perm, sp.n_fixed) = PrefixPerm(fixed);
   for (int kpos = 0; kpos < sp.n_fixed; ++kpos) {
@@ -93,7 +118,7 @@ ScanPlan PlanScan(const IdPattern& pat) {
     bool dup = false;
     for (size_t c = 0; c < sp.out_slot.size(); ++c) {
       if (sp.out_slot[c] == slot) {
-        sp.eq.emplace_back(sp.out_comp[c], comp);
+        sp.eq.push_back({sp.out_comp[c], comp});
         dup = true;
         break;
       }
@@ -115,25 +140,27 @@ bool PassesEq(const ScanPlan& sp, const uint32_t c3[3]) {
 
 /// Materializes the pattern's prefix range, merged with the matching
 /// delta run when one is pending.
-void RunScan(const PrefixScan& scan, const ScanPlan& sp, ScanTally* tally,
-             Relation* rel) {
-  rel->slots = sp.out_slot;
-  rel->sorted_slot = sp.out_slot.empty() ? -1 : sp.out_slot[0];
-  rel->data.reserve(scan.raw_rows() * sp.out_comp.size());
+Relation RunScan(const PrefixScan& scan, const ScanPlan& sp, ScanTally* tally) {
+  Relation rel;
+  rel.rows = 0;
+  rel.slots.assign(sp.out_slot.begin(), sp.out_slot.end());
+  rel.sorted_slot = sp.out_slot.empty() ? -1 : sp.out_slot[0];
+  rel.data.reserve(scan.raw_rows() * sp.out_comp.size());
   scan.ForEach(tally, [&](const IdTriple& t) {
     const uint32_t c3[3] = {t.s, t.p, t.o};
     if (!PassesEq(sp, c3)) return true;
-    for (int comp : sp.out_comp) rel->data.push_back(c3[comp]);
-    ++rel->rows;
+    for (int comp : sp.out_comp) rel.data.push_back(c3[comp]);
+    ++rel.rows;
     return true;
   });
+  return rel;
 }
 
 /// How one pattern joins the columns the left side already carries.
 struct StepShape {
-  ScanPlan scan;  // the pattern's constant-prefix scan
-  std::vector<std::pair<size_t, size_t>> pairs;  // (left col, scan col)
-  std::vector<size_t> new_cols;  // scan columns appended to the output
+  ScanPlan scan;             // the pattern's constant-prefix scan
+  ColPairs pairs;            // (left col, scan col)
+  Small3<size_t> new_cols;   // scan columns appended to the output
 };
 
 StepShape ShapeStep(const IdPattern& pat, const std::vector<int>& left_slots) {
@@ -143,7 +170,7 @@ StepShape ShapeStep(const IdPattern& pat, const std::vector<int>& left_slots) {
     auto it = std::find(left_slots.begin(), left_slots.end(),
                         sh.scan.out_slot[rc]);
     if (it != left_slots.end()) {
-      sh.pairs.emplace_back(static_cast<size_t>(it - left_slots.begin()), rc);
+      sh.pairs.push_back({static_cast<size_t>(it - left_slots.begin()), rc});
     } else {
       sh.new_cols.push_back(rc);
     }
@@ -153,14 +180,17 @@ StepShape ShapeStep(const IdPattern& pat, const std::vector<int>& left_slots) {
 
 constexpr uint32_t kInterruptStride = 0x1FFF;
 
-/// One bind-join step: the pattern's permutation probed once per left key.
-/// The key folds the pattern's constants with the left row's values of
-/// the shared slots, so every shared position — repeated ones included —
-/// is fixed, and the probe's rows differ only in the appended columns.
-class BindProbe {
+/// One step run once per left row: a probe of the pattern's permutation
+/// (a bind join, or with no shared slot an index scan of the constant
+/// prefix), or a path evaluation. The key folds the pattern's constants
+/// with the left row's values of the shared slots, so every shared
+/// position — repeated ones included — is fixed, and the matches differ
+/// only in the appended columns. A path's key is (start, -, end), an
+/// open end being PathEvaluator::kAny.
+class ProbeStep {
  public:
-  BindProbe(const IdPattern& pat, const StepShape& sh, IdJoinStep* step)
-      : eq_(sh.scan), step_(step) {
+  ProbeStep(const IdPattern& pat, const StepShape& sh, IdJoinStep* step)
+      : path_(pat.path), eq_(sh.scan), step_(step) {
     const IdSlot* pos[3] = {&pat.s, &pat.p, &pat.o};
     bool fixed[3];
     size_t col_of[3] = {0, 0, 0};
@@ -173,19 +203,33 @@ class BindProbe {
         }
       }
     }
-    std::tie(perm_, n_fixed_) = PrefixPerm(fixed);
-    step_->op = opt::PhysicalOp::kBindJoin;
-    step_->perm = perm_;
-    for (int kpos = 0; kpos < n_fixed_; ++kpos) {
-      const IdSlot& at = *pos[KeyComp(perm_, kpos)];
-      if (!at.is_var) {
-        key_[kpos] = at.const_id;
-        continue;
+    *step_ = IdJoinStep{};
+    // Key positions: permutation key order for a probe, the component
+    // itself for a path.
+    auto fix = [&](int kpos, int c) {
+      if (!pos[c]->is_var) {
+        key_[kpos] = pos[c]->const_id;
+        return;
       }
-      key_cols_.emplace_back(kpos, col_of[KeyComp(perm_, kpos)]);
-      if (std::find(step_->on.begin(), step_->on.end(), at.slot) ==
+      key_cols_.push_back({kpos, col_of[c]});
+      if (std::find(step_->on.begin(), step_->on.end(), pos[c]->slot) ==
           step_->on.end()) {
-        step_->on.push_back(at.slot);
+        step_->on.push_back(pos[c]->slot);
+      }
+    };
+    if (path_ != nullptr) {
+      step_->op = opt::PhysicalOp::kPath;
+      for (int c : {0, 2}) {
+        key_[c] = PathEvaluator::kAny;
+        if (fixed[c]) fix(c, c);
+      }
+    } else {
+      std::tie(perm_, n_fixed_) = PrefixPerm(fixed);
+      step_->op = sh.pairs.empty() ? opt::PhysicalOp::kIndexScan
+                                   : opt::PhysicalOp::kBindJoin;
+      step_->perm = perm_;
+      for (int kpos = 0; kpos < n_fixed_; ++kpos) {
+        fix(kpos, KeyComp(perm_, kpos));
       }
     }
     for (size_t rc : sh.new_cols) new_comps_.push_back(sh.scan.out_comp[rc]);
@@ -193,13 +237,17 @@ class BindProbe {
 
   size_t width() const { return new_comps_.size(); }
 
+  /// Whether a completed probe is kept for the next call with the same key
+  /// (pointless for a step run from a single left row).
+  void set_reuse(bool reuse) { reuse_ = reuse; }
+
   /// Calls `fn(const uint32_t* cols)` with the appended columns of each
   /// match of `left`'s key until it returns false; returns false if `fn`
-  /// stopped. A probe that ran to completion is kept for the next call
-  /// with the same key.
+  /// stopped or a path evaluation failed (its error goes to *status).
   template <typename Fn>
   bool ForEachMatch(const IdIndexes& idx, const DeltaIdRuns* delta,
-                    const uint32_t* left, ScanTally* tally, Fn&& fn) {
+                    const uint32_t* left, ScanTally* tally, Status* status,
+                    Fn&& fn) {
     std::array<uint32_t, 3> key = key_;
     for (const auto& [kpos, col] : key_cols_) key[kpos] = left[col];
     const size_t w = new_comps_.size();
@@ -210,35 +258,56 @@ class BindProbe {
       }
       return true;
     }
-    PrefixScan scan(idx, delta, perm_, key, n_fixed_);
-    step_->scan_rows += scan.raw_rows();
-    step_->delta = step_->delta || scan.delta_hit();
     cached_ = false;
     cached_key_ = key;
     cached_matches_ = 0;
     cache_.clear();
     uint32_t cols[3];
-    bool done = scan.ForEach(tally, [&](const IdTriple& t) {
-      const uint32_t c3[3] = {t.s, t.p, t.o};
+    auto take = [&](const uint32_t c3[3]) {
       if (!PassesEq(eq_, c3)) return true;
       for (size_t c = 0; c < w; ++c) cols[c] = c3[new_comps_[c]];
-      cache_.insert(cache_.end(), cols, cols + w);
+      if (reuse_) cache_.insert(cache_.end(), cols, cols + w);
       ++cached_matches_;
       ++step_->out_rows;
       return fn(static_cast<const uint32_t*>(cols));
-    });
-    cached_ = done;
+    };
+    bool done = true;
+    if (path_ == nullptr) {
+      PrefixScan scan(idx, delta, perm_, key, n_fixed_);
+      step_->scan_rows += scan.raw_rows();
+      step_->delta = step_->delta || scan.delta_hit();
+      done = scan.ForEach(tally, [&](const IdTriple& t) {
+        const uint32_t c3[3] = {t.s, t.p, t.o};
+        return take(c3);
+      });
+    } else {
+      step_->delta = delta != nullptr && !delta->empty();
+      auto pair = [&](uint32_t s, uint32_t o) {
+        ++step_->scan_rows;
+        const uint32_t c3[3] = {s, 0, o};
+        done = take(c3);
+        return done;
+      };
+      Status st = path_->Eval(key[0], key[2], std::ref(pair));
+      if (!st.ok()) {
+        *status = std::move(st);
+        return false;
+      }
+    }
+    cached_ = done && reuse_;
     return done;
   }
 
  private:
+  PathEvaluator* path_;
   Perm perm_ = Perm::kSpo;
   int n_fixed_ = 0;
   std::array<uint32_t, 3> key_{0, 0, 0};
-  std::vector<std::pair<int, size_t>> key_cols_;  // key position <- left col
-  std::vector<int> new_comps_;  // component read per appended column
+  Small3<std::pair<int, size_t>> key_cols_;  // key position <- left col
+  Small3<int> new_comps_;       // component read per appended column
   const ScanPlan& eq_;          // repeated-slot equalities
   IdJoinStep* step_;
+  bool reuse_ = true;
   // The last completed probe: its key, its match count and the matches'
   // appended columns (none when the pattern binds nothing new).
   bool cached_ = false;
@@ -249,8 +318,7 @@ class BindProbe {
 
 /// Probes a bind join would run over `left`: runs of equal key tuples in
 /// row order, since consecutive equal keys share one probe.
-size_t CountProbeKeys(const Relation& left,
-                      const std::vector<std::pair<size_t, size_t>>& pairs) {
+size_t CountProbeKeys(const Relation& left, const ColPairs& pairs) {
   size_t keys = 0;
   for (size_t r = 0; r < left.rows; ++r) {
     bool same = r > 0;
@@ -263,11 +331,11 @@ size_t CountProbeKeys(const Relation& left,
 }
 
 /// Merge join on the single shared slot; both inputs arrive sorted on it.
-/// Equal-key runs emit their cross product, preserving duplicates.
+/// Equal-key runs emit their cross product, preserving duplicates, as
+/// `emit(left row, right row)` calls until one returns false.
+template <typename Emit>
 Status MergeJoin(const Relation& left, size_t lcol, const Relation& right,
-                 const std::function<Status()>& interrupt, size_t max_rows,
-                 Relation* out, bool* overflow) {
-  const size_t lw = left.width(), rw = right.width();
+                 const std::function<Status()>& interrupt, Emit&& emit) {
   uint32_t tick = 0;
   size_t i = 0, j = 0;
   while (i < left.rows && j < right.rows) {
@@ -284,17 +352,9 @@ Status MergeJoin(const Relation& left, size_t lcol, const Relation& right,
       size_t i2 = i, j2 = j;
       while (i2 < left.rows && left.at(i2, lcol) == a) ++i2;
       while (j2 < right.rows && right.at(j2, 0) == a) ++j2;
-      if (out->rows + (i2 - i) * (j2 - j) > max_rows) {
-        *overflow = true;
-        return Status::OK();
-      }
       for (size_t ii = i; ii < i2; ++ii) {
         for (size_t jj = j; jj < j2; ++jj) {
-          for (size_t c = 0; c < lw; ++c) out->data.push_back(left.at(ii, c));
-          for (size_t c = 1; c < rw; ++c) {
-            out->data.push_back(right.at(jj, c));
-          }
-          ++out->rows;
+          if (!emit(ii, jj)) return Status::OK();
         }
       }
       i = i2;
@@ -308,23 +368,23 @@ Status MergeJoin(const Relation& left, size_t lcol, const Relation& right,
 /// row-index table over the build side, probes with the other side in
 /// order, so the output inherits the probe side's sort column. Keys pack
 /// up to two join values exactly; any further pairs are verified per
-/// candidate, so collisions cannot produce false matches.
+/// candidate, so collisions cannot produce false matches. Matches go to
+/// `emit(left row, right row)` until it returns false.
+template <typename Emit>
 Status HashJoin(const Relation& left, const Relation& right,
-                const std::vector<std::pair<size_t, size_t>>& pairs,
-                bool build_left, const std::function<Status()>& interrupt,
-                size_t max_rows, const std::vector<size_t>& r_new_cols,
-                Relation* out, bool* overflow) {
+                const ColPairs& pairs, bool build_left,
+                const std::function<Status()>& interrupt, Emit&& emit) {
   const Relation& build = build_left ? left : right;
   const Relation& probe = build_left ? right : left;
   // Join columns on each side, in pair order.
-  std::vector<size_t> build_cols, probe_cols;
+  Small3<size_t> build_cols, probe_cols;
   for (const auto& [lc, rc] : pairs) {
     build_cols.push_back(build_left ? lc : rc);
     probe_cols.push_back(build_left ? rc : lc);
   }
   const size_t n_key = std::min<size_t>(2, pairs.size());
   auto key_of = [n_key](const Relation& rel, size_t r,
-                        const std::vector<size_t>& cols) -> uint64_t {
+                        const Small3<size_t>& cols) -> uint64_t {
     uint64_t k = 0;
     for (size_t x = 0; x < n_key; ++x) k = (k << 32) | rel.at(r, cols[x]);
     return k;
@@ -336,7 +396,6 @@ Status HashJoin(const Relation& left, const Relation& right,
     table[key_of(build, r, build_cols)].push_back(static_cast<uint32_t>(r));
   }
 
-  const size_t lw = left.width();
   uint32_t tick = 0;
   static const std::vector<uint32_t> kEmpty;
   for (size_t pr = 0; pr < probe.rows; ++pr) {
@@ -355,42 +414,35 @@ Status HashJoin(const Relation& left, const Relation& right,
           break;
         }
       }
-      if (!match) continue;
-      if (out->rows + 1 > max_rows) {
-        *overflow = true;
+      if (match && !emit(build_left ? br : pr, build_left ? pr : br)) {
         return Status::OK();
       }
-      const size_t lr = build_left ? br : pr;
-      const size_t rr = build_left ? pr : br;
-      for (size_t c = 0; c < lw; ++c) out->data.push_back(left.at(lr, c));
-      for (size_t c : r_new_cols) out->data.push_back(right.at(rr, c));
-      ++out->rows;
     }
   }
   return Status::OK();
 }
 
-/// Runs bind-join steps depth-first from each row of `left`: every row
-/// that passes the last probe goes to `sink`, in left order, so the
-/// output keeps the left side's sort order. Stops early when the sink
-/// returns false.
-class BindRunner {
+/// Runs steps depth-first from each row of `left`: every row that passes
+/// the last step goes to `sink`, in left order, so the output keeps the
+/// left side's sort order. Stops early when the sink returns false.
+class StepRunner {
  public:
-  BindRunner(const IdIndexes& idx, const DeltaIdRuns* delta,
-             std::vector<BindProbe>* probes,
+  StepRunner(const IdIndexes& idx, const DeltaIdRuns* delta,
+             std::vector<ProbeStep>* steps,
              const std::function<Status()>& interrupt, const IdRowSink& sink,
              ScanTally* tally)
       : idx_(idx),
         delta_(delta),
-        probes_(*probes),
+        steps_(*steps),
         interrupt_(interrupt),
         sink_(sink),
         tally_(tally) {}
 
   Status Run(const Relation& left) {
     size_t width = left.width();
-    for (const BindProbe& p : probes_) width += p.width();
+    for (const ProbeStep& p : steps_) width += p.width();
     row_.resize(width);
+    if (!steps_.empty()) steps_[0].set_reuse(left.rows > 1);
     for (size_t r = 0; r < left.rows; ++r) {
       std::copy(left.row(r), left.row(r) + left.width(), row_.begin());
       if (!Level(0, left.width())) break;
@@ -400,24 +452,24 @@ class BindRunner {
 
  private:
   bool Level(size_t level, size_t width) {
-    if (level == probes_.size()) return sink_(row_.data());
+    if (level == steps_.size()) return sink_(row_.data());
     if (interrupt_ != nullptr && (++tick_ & kInterruptStride) == 0) {
       status_ = interrupt_();
       if (!status_.ok()) return false;
     }
-    BindProbe& probe = probes_[level];
-    const size_t w = probe.width();
-    return probe.ForEachMatch(idx_, delta_, row_.data(), tally_,
-                              [&](const uint32_t* cols) {
-                                std::copy(cols, cols + w,
-                                          row_.begin() + width);
-                                return Level(level + 1, width + w);
-                              });
+    ProbeStep& step = steps_[level];
+    const size_t w = step.width();
+    return step.ForEachMatch(idx_, delta_, row_.data(), tally_, &status_,
+                             [&](const uint32_t* cols) {
+                               std::copy(cols, cols + w,
+                                         row_.begin() + width);
+                               return Level(level + 1, width + w);
+                             });
   }
 
   const IdIndexes& idx_;
   const DeltaIdRuns* delta_;
-  std::vector<BindProbe>& probes_;
+  std::vector<ProbeStep>& steps_;
   const std::function<Status()>& interrupt_;
   const IdRowSink& sink_;
   ScanTally* tally_;
@@ -431,11 +483,8 @@ class BindRunner {
 Status ExecuteIdJoin(const IdIndexes& idx, const DeltaIdRuns* delta,
                      const std::vector<IdPattern>& patterns, size_t max_rows,
                      const std::function<Status()>& interrupt,
-                     const IdRowSink& emit, IdJoinResult* out,
-                     bool* overflow) {
-  *overflow = false;
+                     const IdRowSink& emit, IdJoinResult* out) {
   const size_t n = patterns.size();
-  if (n == 0) return Status::OK();
   // Every step's shape, against the columns accumulated before it; the
   // output layout is fixed up front, whichever operators run.
   std::vector<StepShape> shapes;
@@ -447,17 +496,30 @@ Status ExecuteIdJoin(const IdIndexes& idx, const DeltaIdRuns* delta,
     for (size_t rc : sh.new_cols) out->slots.push_back(sh.scan.out_slot[rc]);
   }
   out->steps.assign(n, IdJoinStep{});
+
+  ScanTally tally;
+  Relation acc;
+  // Runs steps first..last-1 depth-first from every accumulated row.
+  auto run = [&](size_t first, size_t last, const IdRowSink& sink) {
+    std::vector<ProbeStep> steps;
+    steps.reserve(last - first);
+    for (size_t j = first; j < last; ++j) {
+      steps.emplace_back(patterns[j], shapes[j], &out->steps[j]);
+    }
+    return StepRunner(idx, delta, &steps, interrupt, sink, &tally).Run(acc);
+  };
+  if (n < 2) return run(0, n, emit);
+
   // Range sizes cost a binary search each and decide the operators; a
   // step's range is materialized only if it is scanned.
-  std::vector<PrefixScan> ranges;
-  ranges.reserve(n);
-  for (const StepShape& sh : shapes) {
-    ranges.emplace_back(idx, delta, sh.scan.perm, sh.scan.key,
-                        sh.scan.n_fixed);
-  }
-  auto choose = [&](size_t i, const Relation& left, double left_keys,
+  auto range_of = [&](size_t j) {
+    const ScanPlan& sp = shapes[j].scan;
+    return PrefixScan(idx, delta, sp.perm, sp.key, sp.n_fixed);
+  };
+  auto choose = [&](size_t j, const Relation& left, double left_keys,
                     bool* build_left) {
-    const StepShape& sh = shapes[i];
+    if (patterns[j].path != nullptr) return opt::PhysicalOp::kPath;
+    const StepShape& sh = shapes[j];
     opt::JoinInputs in;
     // Merge needs one shared slot with both sides sorted on it; the scan
     // side is sorted by its column 0, so that column must be the key.
@@ -467,102 +529,100 @@ Status ExecuteIdJoin(const IdIndexes& idx, const DeltaIdRuns* delta,
     in.bind_possible = !sh.pairs.empty();
     in.left_rows = static_cast<double>(left.rows);
     in.left_keys = left_keys;
-    in.right_rows = static_cast<double>(ranges[i].raw_rows());
+    in.right_rows = static_cast<double>(range_of(j).raw_rows());
     return opt::ChoosePhysicalJoin(in, build_left);
   };
+  auto per_row = [](opt::PhysicalOp op) {
+    return op == opt::PhysicalOp::kBindJoin || op == opt::PhysicalOp::kPath;
+  };
 
-  ScanTally tally;
-  Relation acc;
-  {
+  size_t i = 0;
+  if (patterns[0].path == nullptr) {
+    // The first scan is materialized, so the next step is chosen from its
+    // exact size — unless it alone passes the cap.
+    const PrefixScan scan = range_of(0);
+    if (scan.raw_rows() > max_rows) return run(0, n, emit);
     IdJoinStep& step = out->steps[0];
     step.perm = shapes[0].scan.perm;
-    step.scan_rows = ranges[0].raw_rows();
-    step.delta = ranges[0].delta_hit();
-    RunScan(ranges[0], shapes[0].scan, &tally, &acc);
-    if (acc.rows > max_rows) {
-      *overflow = true;
-      return Status::OK();
-    }
+    step.scan_rows = scan.raw_rows();
+    step.delta = scan.delta_hit();
+    acc = RunScan(scan, shapes[0].scan, &tally);
     step.out_rows = acc.rows;
+    i = 1;
   }
 
-  size_t i = 1;
   for (; i < n; ++i) {
     if (interrupt != nullptr) SCISPARQL_RETURN_NOT_OK(interrupt());
     const StepShape& sh = shapes[i];
     IdJoinStep& step = out->steps[i];
     bool build_left = false;
-    step.op = choose(i, acc, static_cast<double>(CountProbeKeys(acc, sh.pairs)),
-                     &build_left);
-    if (step.op == opt::PhysicalOp::kBindJoin) {
-      // Stream from here when every later step would also bind-join with
-      // the accumulated rows as its probe count; otherwise materialize
-      // this step, so the next one is chosen from its exact size.
+    const double keys = patterns[i].path != nullptr
+                            ? 0.0
+                            : static_cast<double>(CountProbeKeys(acc, sh.pairs));
+    const opt::PhysicalOp op = choose(i, acc, keys, &build_left);
+    Relation joined;
+    joined.rows = 0;
+    joined.slots = acc.slots;
+    for (size_t c : sh.new_cols) joined.slots.push_back(sh.scan.out_slot[c]);
+    bool capped = false;
+    auto room = [&] {  // whether `joined` takes another row
+      capped = joined.rows == max_rows;
+      return !capped;
+    };
+    if (per_row(op)) {
+      // Stream from here when every later step would also run per left
+      // row, with the accumulated rows as its probe count; otherwise
+      // materialize this step, so the next one is chosen from its exact
+      // size.
       bool stream = true;
       for (size_t j = i + 1; j < n && stream; ++j) {
-        stream = choose(j, acc, static_cast<double>(acc.rows), nullptr) ==
-                 opt::PhysicalOp::kBindJoin;
+        stream = per_row(
+            choose(j, acc, static_cast<double>(acc.rows), nullptr));
       }
       if (stream) break;
-      std::vector<BindProbe> probe;
-      probe.emplace_back(patterns[i], sh, &step);
-      Relation joined;
-      joined.slots = acc.slots;
-      for (size_t c : sh.new_cols) joined.slots.push_back(sh.scan.out_slot[c]);
       joined.sorted_slot = acc.sorted_slot;
       const size_t width = joined.width();
-      IdRowSink append = [&](const uint32_t* row) {
-        if (joined.rows + 1 > max_rows) {
-          *overflow = true;
-          return false;
-        }
+      SCISPARQL_RETURN_NOT_OK(run(i, i + 1, [&](const uint32_t* row) {
+        if (!room()) return false;
         joined.data.insert(joined.data.end(), row, row + width);
         ++joined.rows;
         return true;
-      };
-      SCISPARQL_RETURN_NOT_OK(
-          BindRunner(idx, delta, &probe, interrupt, append, &tally).Run(acc));
-      if (*overflow) return Status::OK();
-      acc = std::move(joined);
-      continue;
-    }
-
-    Relation scan;
-    step.perm = sh.scan.perm;
-    step.scan_rows = ranges[i].raw_rows();
-    step.delta = ranges[i].delta_hit();
-    step.build_left = build_left;
-    RunScan(ranges[i], sh.scan, &tally, &scan);
-
-    Relation joined;
-    joined.slots = acc.slots;
-    for (size_t c : sh.new_cols) joined.slots.push_back(scan.slots[c]);
-    if (step.op == opt::PhysicalOp::kMergeJoin) {
-      step.on = {scan.slots[0]};
-      joined.sorted_slot = scan.slots[0];
-      SCISPARQL_RETURN_NOT_OK(MergeJoin(acc, sh.pairs[0].first, scan,
-                                        interrupt, max_rows, &joined,
-                                        overflow));
+      }));
     } else {
-      // Probe side streams in order, so its sort column survives the join.
-      joined.sorted_slot = build_left ? scan.sorted_slot : acc.sorted_slot;
-      SCISPARQL_RETURN_NOT_OK(HashJoin(acc, scan, sh.pairs, build_left,
-                                       interrupt, max_rows, sh.new_cols,
-                                       &joined, overflow));
+      const PrefixScan range = range_of(i);
+      step.op = op;
+      step.perm = sh.scan.perm;
+      step.scan_rows = range.raw_rows();
+      step.delta = range.delta_hit();
+      step.build_left = build_left;
+      const Relation scan = RunScan(range, sh.scan, &tally);
+      auto append = [&](size_t lr, size_t rr) {
+        if (!room()) return false;
+        joined.data.insert(joined.data.end(), acc.row(lr),
+                           acc.row(lr) + acc.width());
+        for (size_t c : sh.new_cols) joined.data.push_back(scan.at(rr, c));
+        ++joined.rows;
+        return true;
+      };
+      if (op == opt::PhysicalOp::kMergeJoin) {
+        step.on = {scan.slots[0]};
+        joined.sorted_slot = scan.slots[0];
+        SCISPARQL_RETURN_NOT_OK(
+            MergeJoin(acc, sh.pairs[0].first, scan, interrupt, append));
+      } else {
+        // Probe side streams in order, so its sort column survives.
+        joined.sorted_slot = build_left ? scan.sorted_slot : acc.sorted_slot;
+        SCISPARQL_RETURN_NOT_OK(
+            HashJoin(acc, scan, sh.pairs, build_left, interrupt, append));
+      }
+      step.out_rows = joined.rows;
     }
-    if (*overflow) return Status::OK();
+    // Past the cap, this step and every later one stream from the rows
+    // accumulated so far instead.
+    if (capped) break;
     acc = std::move(joined);
-    step.out_rows = acc.rows;
   }
-
-  // Steps i..n-1 are bind joins run depth-first from each accumulated row
-  // (none when the last step materialized).
-  std::vector<BindProbe> tail;
-  tail.reserve(n - i);
-  for (size_t j = i; j < n; ++j) {
-    tail.emplace_back(patterns[j], shapes[j], &out->steps[j]);
-  }
-  return BindRunner(idx, delta, &tail, interrupt, emit, &tally).Run(acc);
+  return run(i, n, emit);
 }
 
 }  // namespace sparql

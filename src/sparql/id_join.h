@@ -112,6 +112,8 @@ bool PrefixScan::ForEach(ScanTally* tally, Fn&& fn) const {
   return more;
 }
 
+class PathEvaluator;
+
 /// One position of a triple pattern lowered to the ID space: either a
 /// dictionary-resolved constant (the term itself, or a variable already
 /// bound by an enclosing pattern) or an output slot. Slots are the BGP's
@@ -122,8 +124,12 @@ struct IdSlot {
   int slot = -1;          // when is_var
 };
 
+/// A lowered triple pattern, or a property path from `s` to `o` when
+/// `path` is set (its `p` is then ignored). A path's constant end may be
+/// an ID past the dictionary, standing for a term no triple holds.
 struct IdPattern {
   IdSlot s, p, o;
+  PathEvaluator* path = nullptr;  // not owned
 };
 
 /// What one pipeline step did, for EXPLAIN / tracing: the permutation its
@@ -132,11 +138,13 @@ struct IdPattern {
 struct IdJoinStep {
   opt::PhysicalOp op = opt::PhysicalOp::kIndexScan;
   Perm perm = Perm::kSpo;   // permutation the step's scan or probes read
-  std::vector<int> on;      // merge key slot, or a bind join's probe slots
+  std::vector<int> on;      // merge key slot, or the left slots a bind
+                            // join's probes or a path's ends take
   bool build_left = false;  // hash build side (kHashJoin only)
   bool delta = false;       // a scan or probe merged a pending delta run
   size_t scan_rows = 0;     // rows in the scanned range; for a bind join,
-                            // the summed length of the ranges it probed
+                            // the summed length of the ranges it probed;
+                            // for a path, the pairs it produced
   size_t out_rows = 0;      // rows that left this step
 };
 
@@ -152,10 +160,14 @@ struct IdJoinResult {
 /// stops the join.
 using IdRowSink = std::function<bool(const uint32_t* row)>;
 
+/// Row cap the executor gives ExecuteIdJoin for materialized steps.
+constexpr size_t kIdJoinMaxRows = size_t{8} << 20;
+
 /// Evaluates a BGP entirely over the sorted ID-tuple permutation indexes.
-/// The first pattern is a prefix-range index scan over its constants; each
-/// later pattern joins the accumulated relation by the operator
-/// opt::ChoosePhysicalJoin picks from exact sizes:
+/// Patterns execute in the given (planner) order, each one step of the
+/// pipeline. The first triple pattern is a prefix-range index scan over
+/// its constants; each later one joins the accumulated relation by the
+/// operator opt::ChoosePhysicalJoin picks from exact sizes:
 ///   - bind join: for each left row, one PrefixScan keyed by the pattern's
 ///     constants plus the left row's values of the shared slots (SPO for
 ///     (s,p[,o]), POS for (p,o), OSP for (o,s)); consecutive left rows
@@ -165,32 +177,36 @@ using IdRowSink = std::function<bool(const uint32_t* row)>;
 ///     slot;
 ///   - hash join over the full prefix range otherwise, building the
 ///     smaller side.
+/// A path step calls PathEvaluator::Eval once per left row, each end a
+/// constant ID, the left row's value of a shared slot, or kAny.
 /// Duplicates are preserved (multiset semantics); a pattern sharing no
-/// slot degenerates to a cross product. Patterns execute in the given
-/// (planner) order.
+/// slot degenerates to a cross product.
 ///
 /// Operators are chosen step by step against the materialized left side.
-/// When a bind join is chosen and every later step would be one too, with
-/// that left side's row count as its probe count, the remaining steps run
-/// depth-first, one left row at a time, and every finished row goes
-/// straight to `emit`; a false from `emit` stops the probes (ASK, LIMIT).
-/// Otherwise the step's output is materialized and the next step is
-/// chosen from its exact size.
+/// When a bind join or path step is chosen and every later step would be
+/// one too, with that left side's row count as its probe count, the
+/// remaining steps stream: they run depth-first, one left row at a time,
+/// and every finished row goes straight to `emit`; a false from `emit`
+/// stops the join (ASK, LIMIT). A one-pattern BGP streams its scan the
+/// same way. Otherwise the step's output is materialized and the next
+/// step is chosen from its exact size.
+///
+/// No materialized relation passes `max_rows` rows: a step whose output
+/// would streams instead, with every later step, from the rows already
+/// accumulated (from the unit row when it is the first scan). The answer
+/// does not depend on `max_rows`.
 ///
 /// `delta` (may be null) is the graph's pending differential index
-/// resolved at the query's snapshot epoch (Graph::SnapshotDeltaIds). When
-/// non-empty, every scan and probe is a PrefixScan two-run merge, whose
-/// output stays sorted, so merge-join eligibility survives concurrent
-/// writes.
-///
-/// If a materialized intermediate result would exceed `max_rows`, sets
-/// *overflow and returns OK before any row was emitted — the caller falls
-/// back to scan-and-bind. `interrupt` (may be null) is polled between
-/// operators and inside long loops; its error aborts the join.
+/// resolved at the query's snapshot epoch (Graph::SnapshotDeltaIds); path
+/// evaluators must read the same snapshot. When non-empty, every scan and
+/// probe is a PrefixScan two-run merge, whose output stays sorted, so
+/// merge-join eligibility survives concurrent writes. `interrupt` (may be
+/// null) is polled between operators and inside long loops; its error,
+/// or a path evaluator's, aborts the join.
 Status ExecuteIdJoin(const IdIndexes& idx, const DeltaIdRuns* delta,
                      const std::vector<IdPattern>& patterns, size_t max_rows,
                      const std::function<Status()>& interrupt,
-                     const IdRowSink& emit, IdJoinResult* out, bool* overflow);
+                     const IdRowSink& emit, IdJoinResult* out);
 
 }  // namespace sparql
 }  // namespace scisparql

@@ -68,6 +68,7 @@ PathEvaluator::PathEvaluator(const ast::Path& path, const Graph& graph,
       idx_(graph.EnsureIdIndexes()),
       delta_(delta != nullptr && !delta->empty() ? delta : nullptr),
       dict_(graph.dict()),
+      id_limit_(dict_.size()),
       max_visits_(max_visits),
       interrupt_(std::move(interrupt)),
       scratch_(scratch) {
@@ -110,6 +111,35 @@ const std::vector<uint32_t>& PathEvaluator::Universe() {
   scratch_->universe_graph = &graph_;
   scratch_->universe_epoch = snapshot_;
   return *universe_;
+}
+
+const Term* PathEvaluator::ArrayAt(uint32_t id) const {
+  if (id >= id_limit_) return nullptr;
+  const Term& t = dict_.term(id);
+  return t.IsArray() ? &t : nullptr;
+}
+
+Status PathEvaluator::Eval(uint32_t start, uint32_t end, const PairFn& cb) {
+  const Term* arrays[2] = {ArrayAt(start), ArrayAt(end)};
+  if (arrays[0] == nullptr && arrays[1] == nullptr) {
+    return EvalNode(root_, start, end, cb);
+  }
+  std::vector<uint32_t> from[2] = {{start}, {end}};
+  for (int e = 0; e < 2; ++e) {
+    if (arrays[e] == nullptr) continue;
+    from[e].clear();
+    for (uint32_t n : Universe()) {
+      if (dict_.term(n) == *arrays[e]) from[e].push_back(n);
+    }
+  }
+  bool more = true;
+  const PairFn relay = [&](uint32_t s, uint32_t o) { return more = cb(s, o); };
+  for (uint32_t a : from[0]) {
+    for (size_t b = 0; more && b < from[1].size(); ++b) {
+      SCISPARQL_RETURN_NOT_OK(EvalNode(root_, a, from[1][b], relay));
+    }
+  }
+  return Status::OK();
 }
 
 Status PathEvaluator::EvalNode(const ast::Path& path, uint32_t start,

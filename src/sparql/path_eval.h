@@ -68,8 +68,9 @@ struct PathScratch {
 /// searches over the same probes with a dense visited bitset.
 ///
 /// Endpoint IDs may lie past the dictionary (the caller's stand-ins for
-/// terms no triple holds): no probe finds them, but zero-length paths
-/// still connect them to themselves.
+/// terms no triple holds, numbered from a dictionary size read after the
+/// evaluator was built): no probe finds them, but zero-length paths still
+/// connect them to themselves.
 class PathEvaluator {
  public:
   /// An unbound endpoint.
@@ -86,10 +87,10 @@ class PathEvaluator {
                 std::function<Status()> interrupt, PathScratch* scratch);
 
   /// Calls `cb` for every pair the path connects from `start` to `end`
-  /// (either may be kAny). Returns the interrupt's error, if any.
-  Status Eval(uint32_t start, uint32_t end, const PairFn& cb) {
-    return EvalNode(root_, start, end, cb);
-  }
+  /// (either may be kAny). An end naming a stored array stands for every
+  /// value-equal array among the nodes, as an array does in a BGP. Returns
+  /// the interrupt's error, if any.
+  Status Eval(uint32_t start, uint32_t end, const PairFn& cb);
 
   /// The distinct subject and object IDs live at the snapshot, ascending.
   /// Taken from the scratch when it holds this (graph, snapshot)'s, and
@@ -107,6 +108,8 @@ class PathEvaluator {
   };
 
   void Resolve(const ast::Path& path);
+  /// The array `id` names, or null (kAny, stand-ins and other terms).
+  const Term* ArrayAt(uint32_t id) const;
   Status EvalNode(const ast::Path& path, uint32_t start, uint32_t end,
                   const PairFn& cb);
   /// Edges start -p-> end for any p not in `excluded`; returns false if
@@ -125,6 +128,7 @@ class PathEvaluator {
   const IdIndexes& idx_;
   const DeltaIdRuns* delta_;
   const TermDictionary& dict_;
+  size_t id_limit_;  // dictionary size at construction: stand-ins lie past
   int64_t max_visits_;
   std::function<Status()> interrupt_;
   PathScratch* scratch_;

@@ -17,6 +17,7 @@
 #include "rdf/dictionary.h"
 #include "rdf/graph.h"
 #include "rdf/id_index.h"
+#include "sparql/id_join.h"
 #include "storage/dict_section.h"
 #include "storage/vfs.h"
 #include "storage/wal.h"
@@ -270,13 +271,74 @@ TEST_F(IdJoinTest, CrossKindNumericConstantsMatch) {
   ExpectSameRows("SELECT ?n WHERE { ?s ex:score 10 . ?s ex:name ?n }");
 }
 
-TEST_F(IdJoinTest, OverflowFallsBackToScanAndBind) {
-  db_.exec_options().id_join_max_rows = 2;  // force mid-join overflow
-  auto r = Query(db_, 
-      "SELECT ?s ?f ?a WHERE { ?s ex:knows ?f . ?s ex:age ?a }");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->rows.size(), 6u);
-  db_.exec_options().id_join_max_rows = 8u << 20;
+/// An unbound slot of a hand-lowered pattern.
+sparql::IdSlot VarSlot(int slot) {
+  sparql::IdSlot s;
+  s.is_var = true;
+  s.slot = slot;
+  return s;
+}
+
+/// A constant of a hand-lowered pattern, resolved through `g`'s dictionary.
+sparql::IdSlot ConstSlot(const Graph& g, const Term& t) {
+  sparql::IdSlot s;
+  s.const_id = *g.dict().Find(t);
+  return s;
+}
+
+/// Runs `pats` through ExecuteIdJoin over `g`'s permutations with a row
+/// cap of `max_rows`; returns the rows in ascending order and the step
+/// profile in *res.
+std::vector<std::vector<uint32_t>> IdJoinRows(
+    const Graph& g, const std::vector<sparql::IdPattern>& pats,
+    size_t max_rows, sparql::IdJoinResult* res) {
+  std::vector<std::vector<uint32_t>> rows;
+  Status s = sparql::ExecuteIdJoin(
+      g.EnsureIdIndexes(), nullptr, pats, max_rows, nullptr,
+      [&](const uint32_t* row) {
+        rows.emplace_back(row, row + res->slots.size());
+        return true;
+      },
+      res);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST_F(IdJoinTest, JoinPastTheRowCapStreams) {
+  const Graph& g = db_.dataset().default_graph();
+  const sparql::IdSlot knows = ConstSlot(g, I("knows"));
+  const sparql::IdSlot age = ConstSlot(g, I("age"));
+  // ?s ex:knows ?f . ?s ex:age ?a: at a cap of 2 the first scan (7 rows)
+  // is already past it, so the whole join streams from the start.
+  const std::vector<sparql::IdPattern> star = {
+      {VarSlot(0), knows, VarSlot(1)}, {VarSlot(0), age, VarSlot(2)}};
+  sparql::IdJoinResult full, capped;
+  const auto want = IdJoinRows(g, star, SIZE_MAX, &full);
+  EXPECT_EQ(want.size(), 6u);
+  for (size_t cap : {2u, 30u}) {
+    EXPECT_EQ(IdJoinRows(g, star, cap, &capped), want) << cap;
+  }
+  IdJoinRows(g, star, 2, &capped);
+  EXPECT_EQ(capped.steps[0].op, opt::PhysicalOp::kIndexScan);
+  EXPECT_EQ(capped.steps[1].op, opt::PhysicalOp::kBindJoin);
+  EXPECT_EQ(capped.steps[1].out_rows, 6u);
+
+  // ex:a ex:knows ?f . ?y ex:age ?v: the 2-row first scan fits, the
+  // 10-row cross product does not, so its step streams as a scan of the
+  // constant prefix per left row.
+  const std::vector<sparql::IdPattern> cross = {
+      {ConstSlot(g, I("a")), knows, VarSlot(0)},
+      {VarSlot(1), age, VarSlot(2)}};
+  const auto want_cross = IdJoinRows(g, cross, SIZE_MAX, &full);
+  EXPECT_EQ(want_cross.size(), 10u);
+  EXPECT_EQ(full.steps[1].op, opt::PhysicalOp::kHashJoin);
+  for (size_t cap : {2u, 30u}) {
+    EXPECT_EQ(IdJoinRows(g, cross, cap, &capped), want_cross) << cap;
+  }
+  IdJoinRows(g, cross, 2, &capped);
+  EXPECT_EQ(capped.steps[1].op, opt::PhysicalOp::kIndexScan);
+  EXPECT_EQ(capped.steps[1].out_rows, 10u);
 }
 
 TEST_F(IdJoinTest, NumericAliasInDataDisablesFastPathSafely) {
@@ -594,13 +656,23 @@ TEST_F(BindJoinTest, MaterializedBindJoinFeedsALaterHashJoin) {
   auto plan = db_.Explain(q);
   ASSERT_TRUE(plan.ok());
   EXPECT_NE(plan->find("hash-join("), std::string::npos) << *plan;
-  // Past the row cap the materialized bind join overflows before any row
-  // is emitted, and scan-and-bind answers instead.
-  db_.exec_options().id_join_max_rows = 30;
-  auto capped = Query(db_, q);
-  db_.exec_options().id_join_max_rows = 8u << 20;
-  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
-  EXPECT_EQ(capped->rows.size(), 40u);
+  // Past a row cap of 30 the 40-row creator step, and the name step after
+  // it, stream from the 20 journal rows instead; past a cap of 2 the
+  // journal scan streams too. The rows are the same.
+  const Graph& g = db_.dataset().default_graph();
+  const std::vector<sparql::IdPattern> pats = {
+      {VarSlot(0), ConstSlot(g, I("journal")), ConstSlot(g, I("j3"))},
+      {VarSlot(0), ConstSlot(g, I("creator")), VarSlot(1)},
+      {VarSlot(1), ConstSlot(g, I("name")), VarSlot(2)}};
+  sparql::IdJoinResult full, capped;
+  const auto want = IdJoinRows(g, pats, SIZE_MAX, &full);
+  EXPECT_EQ(want.size(), 40u);
+  EXPECT_EQ(full.steps[2].op, opt::PhysicalOp::kHashJoin);
+  for (size_t cap : {2u, 30u}) {
+    EXPECT_EQ(IdJoinRows(g, pats, cap, &capped), want) << cap;
+    EXPECT_EQ(capped.steps[1].op, opt::PhysicalOp::kBindJoin) << cap;
+    EXPECT_EQ(capped.steps[2].op, opt::PhysicalOp::kBindJoin) << cap;
+  }
 }
 
 TEST_F(BindJoinTest, PendingDeltaInsideProbedRanges) {
@@ -681,6 +753,37 @@ TEST_F(BindJoinTest, ArrayResidualSlotInABoundStep) {
       "SELECT ?d WHERE { ex:probe ex:arr ?v . "
       "OPTIONAL { ?d ex:journal ex:j3 . ?d ex:data ?v } }";
   ExpectBindJoin(q);
+  auto rows = Query(db_, q);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->rows.size(), 2u);  // ex:d3 and ex:d103
+}
+
+TEST_F(BindJoinTest, OuterBoundArrayIsEstimatedOverItsWholeRange) {
+  // ArrayResidualSlotInABoundStep's data and query, cost-ordered: ?v is an
+  // array, so the ID path reads the whole ex:data range for it (1,003
+  // rows) and checks values after the join. The estimator must see that
+  // range rather than a constant object, and keep the journal first.
+  Graph& g = db_.dataset().default_graph();
+  Term shared = IntArray({1, 2, 3});
+  g.Add(I("probe"), I("arr"), shared);
+  g.Add(I("d3"), I("data"), shared);
+  g.Add(I("d103"), I("data"), IntArray({1, 2, 3}));
+  g.Add(I("d203"), I("data"), IntArray({4, 5}));
+  for (int i = 0; i < 1000; ++i) {
+    g.Add(I("x" + std::to_string(i)), I("data"), IntArray({i, i}));
+  }
+  const std::string q =
+      "SELECT ?d WHERE { ex:probe ex:arr ?v . "
+      "OPTIONAL { ?d ex:journal ex:j3 . ?d ex:data ?v } }";
+  ExpectBindJoin(q);
+  auto plan = db_.Explain(q);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const size_t arm = plan->find("optional:");
+  ASSERT_NE(arm, std::string::npos) << *plan;
+  const size_t first = plan->find("scan ", arm);
+  ASSERT_NE(first, std::string::npos) << *plan;
+  const std::string line = plan->substr(first, plan->find('\n', first) - first);
+  EXPECT_NE(line.find("journal"), std::string::npos) << *plan;
   auto rows = Query(db_, q);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->rows.size(), 2u);  // ex:d3 and ex:d103

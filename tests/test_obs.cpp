@@ -447,6 +447,39 @@ TEST_F(ScanRowsTest, AskStopsProbingAtTheFirstSolution) {
   EXPECT_LT(early * 10, full) << early << " vs " << full;
 }
 
+TEST_F(ObsEngineTest, EveryBgpShapeRunsOnTheIdPipeline) {
+  // Every scan line of EXPLAIN carries a physical-operator label: one-
+  // pattern BGPs, OPTIONAL and UNION arms and property paths are joins
+  // in ID space like any other BGP.
+  ASSERT_TRUE(Run("INSERT DATA { ex:a ex:next ex:b . ex:b ex:next ex:c . "
+                  "ex:b ex:label \"b\" . ex:c ex:label \"c\" }")
+                  .ok());
+  const std::vector<std::string> queries = {
+      "SELECT ?s WHERE { ?s ex:tag ex:t1 }",
+      "SELECT ?s ?v WHERE { ?s ex:tag ?t . OPTIONAL { ?s ex:val ?v } }",
+      "SELECT ?s WHERE { { ?s ex:tag ex:t2 } UNION { ?s ex:val 4 } }",
+      "SELECT ?x ?y WHERE { ?x ex:next+ ?y }",
+      "SELECT ?x ?l WHERE { ?x ex:next+ ?y . ?y ex:label ?l }",
+  };
+  for (const std::string& q : queries) {
+    auto plan = db_.Explain(q);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    std::istringstream lines(*plan);
+    std::string line;
+    int scans = 0;
+    while (std::getline(lines, line)) {
+      if (line.find("scan ") == std::string::npos) continue;
+      ++scans;
+      EXPECT_NE(line.find("  ["), std::string::npos) << q << "\n" << *plan;
+    }
+    EXPECT_GT(scans, 0) << q << "\n" << *plan;
+  }
+  auto path = db_.Explain("SELECT ?x ?l WHERE { ?x ex:next+ ?y . "
+                          "?y ex:label ?l }");
+  ASSERT_TRUE(path.ok());
+  EXPECT_NE(path->find("[path("), std::string::npos) << *path;
+}
+
 TEST_F(ObsEngineTest, PathVisitBudgetTruncationIsCounted) {
   ASSERT_TRUE(Run("INSERT DATA { ex:a ex:next ex:b . ex:b ex:next ex:c . "
                   "ex:c ex:next ex:d . ex:d ex:next ex:e }")

@@ -635,6 +635,66 @@ PathCase MakePathCase(uint64_t seed) {
   return pc;
 }
 
+/// Runs `query` and compares its rows, as a set of CellKey rows, with
+/// `expected`.
+void ExpectRowSet(SSDM& db, const std::string& query,
+                  const std::set<std::vector<std::string>>& expected,
+                  const std::string& state) {
+  auto r = Query(db, query);
+  ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << query;
+  std::set<std::vector<std::string>> got;
+  for (const auto& row : r->rows) {
+    std::vector<std::string> cells;
+    for (const Term& t : row) cells.push_back(CellKey(t));
+    got.insert(std::move(cells));
+  }
+  EXPECT_EQ(got, expected) << state << "\n" << query;
+}
+
+/// The case's paths joined with a link on either side: `?s <path> ?o .
+/// ?o p1 ?z`, whose pairs feed the pattern after them, and `?a p0 ?s .
+/// ?s <path> ?o`, whose start the pattern before it binds. Expected rows
+/// compose the oracle's pairs with the link's edges; the ends are
+/// variables, so zero-length pairs hold on the graph's nodes.
+void ExpectJoinedPathsMatch(SSDM& db, const PathCase& pc,
+                            const std::vector<Triple>& graph,
+                            const std::string& state) {
+  std::set<std::string> nodes;
+  NodePairs link[2];
+  for (const Triple& t : graph) {
+    nodes.insert(CellKey(t.s));
+    nodes.insert(CellKey(t.o));
+    for (int i = 0; i < 2; ++i) {
+      if (SameTerm(t.p, Pred(i))) link[i].emplace(CellKey(t.s), CellKey(t.o));
+    }
+  }
+  for (const PathCase::Query& q : pc.queries) {
+    const NodePairs pairs = OracleEval(*q.path, graph, nodes);
+    std::set<std::vector<std::string>> after, before;
+    for (const auto& [s, o] : pairs) {
+      for (auto it = link[1].lower_bound({o, ""});
+           it != link[1].end() && it->first == o; ++it) {
+        after.insert({s, o, it->second});
+      }
+    }
+    for (const auto& [a, s] : link[0]) {
+      for (auto it = pairs.lower_bound({s, ""});
+           it != pairs.end() && it->first == s; ++it) {
+        before.insert({a, s, it->second});
+      }
+    }
+    const std::string path = PathText(*q.path);
+    ExpectRowSet(db,
+                 "SELECT ?s ?o ?z WHERE { ?s " + path +
+                     " ?o . ?o <http://p/1> ?z }",
+                 after, state);
+    ExpectRowSet(db,
+                 "SELECT ?a ?s ?o WHERE { ?a <http://p/0> ?s . ?s " + path +
+                     " ?o }",
+                 before, state);
+  }
+}
+
 void ExpectPathsMatch(SSDM& db, const PathCase& pc, const std::string& state) {
   RandomCase content;
   content.ops = pc.ops;
@@ -678,16 +738,9 @@ void ExpectPathsMatch(SSDM& db, const PathCase& pc, const std::string& state) {
     std::string query = "SELECT";
     for (const std::string& v : vars) query += " ?" + v;
     query += where;
-    auto r = Query(db, query);
-    ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << query;
-    std::set<std::vector<std::string>> got;
-    for (const auto& row : r->rows) {
-      std::vector<std::string> cells;
-      for (const Term& t : row) cells.push_back(CellKey(t));
-      got.insert(std::move(cells));
-    }
-    EXPECT_EQ(got, expected) << state << "\n" << query;
+    ExpectRowSet(db, query, expected, state);
   }
+  ExpectJoinedPathsMatch(db, pc, graph, state);
 }
 
 class PathSweep : public ::testing::TestWithParam<uint64_t> {};

@@ -217,6 +217,18 @@ TEST(WritePath, IdJoinMatchesScanAndBindAcrossDeltaStates) {
       // Star with a constant that only ever exists in the delta.
       "PREFIX ex: <http://example.org/> "
       "SELECT ?s ?o WHERE { ?s ex:p ?o . ?s ex:q 7 }",
+      // One pattern.
+      "PREFIX ex: <http://example.org/> "
+      "SELECT ?s ?v WHERE { ?s ex:q ?v }",
+      // A one-pattern OPTIONAL arm, run once per outer row.
+      "PREFIX ex: <http://example.org/> "
+      "SELECT ?o ?s ?t WHERE { ?s ex:p ?o . OPTIONAL { ?o ex:r ?t } }",
+      // Both arms of a UNION.
+      "PREFIX ex: <http://example.org/> "
+      "SELECT ?x WHERE { { ?x ex:q 2 } UNION { ?x ex:r ex:t9 } }",
+      // A path joined with a pattern.
+      "PREFIX ex: <http://example.org/> "
+      "SELECT ?s ?t ?v WHERE { ?s ex:p/ex:r* ?t . ?s ex:q ?v }",
   };
   auto row_key = [](const std::vector<Term>& row) {
     std::string k;
