@@ -281,26 +281,22 @@ struct ReadDuringWriteResult {
   size_t pending_delta = 0;
 };
 
-/// Read qps of a two-pattern star BGP while 4 writers commit a sustained
-/// insert stream through the scheduler. `use_id_joins` selects the
-/// delta-aware ID-join path or the scan-and-bind executor — the latter is
-/// what every read regressed to while a delta was pending before the
-/// differential ID runs existed, so the ratio is the fast path's win.
-/// `analyze_out` (may be null) receives EXPLAIN ANALYZE of the read query
-/// captured while the delta is still pending.
-ReadDuringWriteResult RunReadsUnderWrites(SSDM* db, bool use_id_joins,
+/// Read qps of a two-pattern star BGP through the scheduler while
+/// `writers` threads commit a sustained insert/delete stream (0: the
+/// engine is quiescent). `analyze_out` (may be null) receives EXPLAIN
+/// ANALYZE of the read query captured while a delta is pending.
+ReadDuringWriteResult RunReadsUnderWrites(SSDM* db, int writers,
                                           int total_reads,
                                           std::string* analyze_out) {
   ReadDuringWriteResult out;
-  db->exec_options().use_id_joins = use_id_joins;
 
   sched::SchedulerOptions options;
   options.workers = 8;
   options.queue_capacity = 1024;
   // Production compaction cadence: the delta is pending essentially all
-  // the time under this write rate, but stays bounded — otherwise the
-  // scan-and-bind baseline, which pays O(delta) per probe, degrades
-  // quadratically and the comparison measures delta size, not executors.
+  // the time under this write rate, but stays bounded, so the reads
+  // measure merging a production-sized delta rather than one that grows
+  // with the length of the run.
   options.compact_interval = std::chrono::milliseconds(10);
   options.compact_threshold = 512;
   sched::QueryScheduler sched(db, options);
@@ -326,12 +322,12 @@ ReadDuringWriteResult RunReadsUnderWrites(SSDM* db, bool use_id_joins,
     return prolog + "DELETE DATA { " + churn_triples(w, k) + " }";
   };
   // Prime a pending delta so even the first read sees one.
-  (void)sched.Execute(churn_insert(99, 0));
+  if (writers > 0) (void)sched.Execute(churn_insert(99, 0));
 
   std::atomic<bool> stop_writers{false};
-  std::vector<std::thread> writers;
-  for (int w = 0; w < 4; ++w) {
-    writers.emplace_back([&, w] {
+  std::vector<std::thread> writer_threads;
+  for (int w = 0; w < writers; ++w) {
+    writer_threads.emplace_back([&, w] {
       for (int k = 0; !stop_writers.load(std::memory_order_acquire); ++k) {
         (void)sched.Execute(churn_insert(w, k));
         std::this_thread::sleep_for(std::chrono::microseconds(500));
@@ -358,7 +354,7 @@ ReadDuringWriteResult RunReadsUnderWrites(SSDM* db, bool use_id_joins,
   for (auto& t : readers) t.join();
   double elapsed_ms = timer.ElapsedMs();
   stop_writers.store(true, std::memory_order_release);
-  for (auto& t : writers) t.join();
+  for (auto& t : writer_threads) t.join();
 
   out.pending_delta = db->PendingDeltaOps();
   if (analyze_out != nullptr) {
@@ -375,9 +371,15 @@ ReadDuringWriteResult RunReadsUnderWrites(SSDM* db, bool use_id_joins,
   return out;
 }
 
-/// Builds the read-bench engine, measures both executors under identical
-/// write pressure, prints/gates the ratio and appends to `runs_json`.
-/// Returns non-zero if a gate failed.
+/// Lowest accepted ratio of read qps under 4 writers to read qps on the
+/// same engine with the writers stopped and the delta folded. On a 4-vCPU
+/// guest (RelWithDebInfo) 15 lone runs read 0.65-0.94 and 12 runs inside
+/// `ctest -j4` read 0.63-0.81; the floor sits a quarter below the lowest.
+constexpr double kReadUnderWritesFloor = 0.45;
+
+/// Builds the read-bench engine, measures ID-join reads under 4 writers
+/// and then quiescent with the delta folded, prints/gates the ratio and
+/// appends to `runs_json`. Returns non-zero if a gate failed.
 int RunReadDuringWriteBench(bool smoke, std::string* runs_json) {
   const int total_reads = smoke ? 60 : 300;
 
@@ -397,24 +399,24 @@ int RunReadDuringWriteBench(bool smoke, std::string* runs_json) {
   }
 
   std::printf("\nread-during-write workload: %d two-pattern star reads, "
-              "4 reader + 4 writer threads, delta kept pending\n",
+              "4 reader threads, with 4 writer threads and a pending delta, "
+              "then quiescent with the delta folded\n",
               total_reads);
 
   std::string plan;
-  ReadDuringWriteResult id_run =
-      RunReadsUnderWrites(&db, /*use_id_joins=*/true, total_reads, &plan);
+  ReadDuringWriteResult loaded =
+      RunReadsUnderWrites(&db, /*writers=*/4, total_reads, &plan);
   db.FoldDeltas();
-  ReadDuringWriteResult scan_run =
-      RunReadsUnderWrites(&db, /*use_id_joins=*/false, total_reads, nullptr);
-  db.exec_options().use_id_joins = true;
+  ReadDuringWriteResult quiet =
+      RunReadsUnderWrites(&db, /*writers=*/0, total_reads, nullptr);
 
-  double ratio = scan_run.qps > 0 ? id_run.qps / scan_run.qps : 0;
+  double ratio = quiet.qps > 0 ? loaded.qps / quiet.qps : 0;
   bool plan_kept_id_path = plan.find("index-scan(") != std::string::npos &&
                            plan.find("+delta") != std::string::npos;
-  std::printf("  id-join path:      %8.1f qps (%zu delta ops pending)\n",
-              id_run.qps, id_run.pending_delta);
-  std::printf("  scan-and-bind:     %8.1f qps (%zu delta ops pending)\n",
-              scan_run.qps, scan_run.pending_delta);
+  std::printf("  under 4 writers:   %8.1f qps (%zu delta ops pending)\n",
+              loaded.qps, loaded.pending_delta);
+  std::printf("  quiescent:         %8.1f qps (%zu delta ops pending)\n",
+              quiet.qps, quiet.pending_delta);
   std::printf("  ratio: %.2fx; plan under writes: %s\n", ratio,
               plan_kept_id_path ? "ID path with +delta scans" : plan.c_str());
 
@@ -422,22 +424,22 @@ int RunReadDuringWriteBench(bool smoke, std::string* runs_json) {
       Json()
           .Str("bench", "read_during_write")
           .Int("reads", total_reads)
-          .Num("id_join_qps", id_run.qps)
-          .Num("scan_and_bind_qps", scan_run.qps)
-          .Num("speedup_vs_fallback", ratio)
-          .Int("id_run_pending_delta", (long long)id_run.pending_delta)
-          .Int("scan_run_pending_delta", (long long)scan_run.pending_delta)
+          .Num("under_writes_qps", loaded.qps)
+          .Num("quiescent_qps", quiet.qps)
+          .Num("ratio_to_quiescent", ratio)
+          .Num("floor", kReadUnderWritesFloor)
+          .Int("under_writes_pending_delta", (long long)loaded.pending_delta)
           .Int("plan_kept_id_path", plan_kept_id_path ? 1 : 0)
-          .Int("errors", id_run.errors + scan_run.errors)
+          .Int("errors", loaded.errors + quiet.errors)
           .Build();
   std::printf("RESULT %s\n", line.c_str());
   if (!runs_json->empty()) *runs_json += ", ";
   *runs_json += line;
 
   int rc = 0;
-  if (id_run.errors + scan_run.errors > 0) {
-    std::fprintf(stderr, "FAIL: %d reads failed during write pressure\n",
-                 id_run.errors + scan_run.errors);
+  if (loaded.errors + quiet.errors > 0) {
+    std::fprintf(stderr, "FAIL: %d reads failed\n",
+                 loaded.errors + quiet.errors);
     rc = 1;
   }
   if (!plan_kept_id_path) {
@@ -447,16 +449,16 @@ int RunReadDuringWriteBench(bool smoke, std::string* runs_json) {
                  plan.c_str());
     rc = 1;
   }
-  if (ratio < 3.0) {
+  if (ratio < kReadUnderWritesFloor) {
     std::fprintf(stderr,
-                 "FAIL: ID-join reads under write pressure only %.2fx the "
-                 "scan-and-bind fallback (want >= 3x)\n",
-                 ratio);
+                 "FAIL: reads under 4 writers ran at only %.2fx of quiescent "
+                 "reads (want >= %.2fx)\n",
+                 ratio, kReadUnderWritesFloor);
     rc = 1;
   } else {
-    std::printf("gate: reads under sustained writes %.2fx over the "
-                "scan-and-bind fallback\n",
-                ratio);
+    std::printf("gate: reads under sustained writes at %.2fx of quiescent "
+                "reads (floor %.2fx)\n",
+                ratio, kReadUnderWritesFloor);
   }
   return rc;
 }

@@ -9,32 +9,34 @@
 //   thesis — the Section 5.4.5 running example ("Alice" lookup via
 //           foaf-style name/knows edges) with the constant pattern last.
 //
-// Each query runs with optimize_join_order on and off; the harness checks
-// via EXPLAIN that the cost plan actually deviates from the textual order
-// on the star and chain queries, and that the star query speeds up by at
-// least 2x. Exits non-zero when either check fails, so the CI smoke run
-// (`bench_join_order --smoke`, one timing iteration) doubles as a
-// regression gate. The join-order A/B pins use_id_joins off: ID joins make
-// both pattern orders fast, which is exactly what --dict-smoke measures.
-// With use_id_joins on, every BGP runs as an ID join; off selects
-// scan-and-bind, which runs nowhere else and serves these gates and the
-// equivalence tests as the reference.
+// Each query runs through the ID-join pipeline with optimize_join_order on
+// and off; the harness checks via EXPLAIN that the cost plan actually
+// deviates from the textual order on the star and chain queries, and that
+// the star query speeds up by at least 2x. Exits non-zero when either
+// check fails, so the CI smoke run (`bench_join_order --smoke`, 20 timing
+// iterations per order) doubles as a regression gate.
 //
 // `bench_join_order --dict-smoke` is the dictionary/ID-join gate: it
-// builds SP²Bench-style star and chain workloads at 1M+ triples each,
-// runs the same cost-ordered query with the dictionary ID-join executor
-// on and off, requires the star and chain joins to speed up by at least
-// 5x, checks via EXPLAIN that the star hash-joins, a selective chain
-// bind-joins and an object-object join merge-joins, and writes
-// BENCH_dict.json.
+// builds SP²Bench-style star and chain workloads at 1M+ triples each and
+// times each query on the ID-join pipeline against scan-and-bind — nested
+// Graph::Match lookups, the oracle's BGP leaf (tests/oracle/) — over the
+// same graph in the cost-based planner's order. It requires the star and
+// chain joins to run at least 5x faster on the ID path, checks that both
+// count the same solutions, checks via EXPLAIN that the star hash-joins, a
+// selective chain bind-joins and an object-object join merge-joins, and
+// writes BENCH_dict.json.
 
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "engine/ssdm.h"
+#include "opt/planner.h"
+#include "oracle/oracle.h"
+#include "sparql/parser.h"
 
 namespace scisparql {
 namespace {
@@ -130,7 +132,7 @@ bool PlanReordered(SSDM* db, const std::string& q) {
 /// extents (creator / issued / journal, each on `docs` subjects with long
 /// IRIs — the dictionary's bread and butter) whose subject ranges overlap
 /// on only `docs / 350` documents. No single pattern is selective, so
-/// join ordering can't save the scan-and-bind executor from probing an
+/// join ordering can't save scan-and-bind from probing an
 /// entire extent; the join *output* is small. `3 * docs` triples.
 void BuildSpbStar(Graph* g, int docs) {
   const std::string base = "http://localhost/publications/journal/doc";
@@ -170,13 +172,58 @@ void BuildSpbChain(Graph* g, int nodes) {
   }
 }
 
-double TimeIdMode(SSDM* db, const std::string& q, bool id_joins, int reps,
-                  size_t* rows) {
-  db->exec_options().use_id_joins = id_joins;
-  double ms = TimeQuery(db, q, 1, rows);  // warm-up (and index build)
-  if (reps > 0) ms = TimeQuery(db, q, reps, rows);
-  db->exec_options().use_id_joins = true;
+/// Times a `SELECT (COUNT(*) AS ?n)` query on the engine after one
+/// warm-up run (which builds the ID indexes); *count gets its count.
+double TimeIdQuery(SSDM* db, const std::string& q, int reps, int64_t* count) {
+  size_t rows = 0;
+  TimeQuery(db, q, 1, &rows);
+  const double ms = TimeQuery(db, q, reps, &rows);
+  auto r = db->Execute(q);
+  *count = r.ok() && rows == 1 ? r->rows().rows[0][0].integer() : -1;
   return ms;
+}
+
+/// Times scan-and-bind (oracle::MatchBgp) over the BGP of `q`, whose WHERE
+/// clause holds triple patterns only, in the order the cost-based planner
+/// picks for it, after one warm-up run; *count gets its solution count.
+double TimeScanAndBind(SSDM* db, const std::string& q, int reps,
+                       int64_t* count) {
+  auto parsed = sparql::ParseQuery(q, db->prefixes());
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "parse failed: %s\n",
+                 parsed.status().ToString().c_str());
+    std::exit(1);
+  }
+  std::vector<const ast::TriplePattern*> bgp;
+  std::vector<opt::PatternDesc> descs;
+  for (const ast::PatternElement& e : (*parsed)->where.elements) {
+    bgp.push_back(&e.triple);
+    opt::PatternDesc d;
+    auto fill = [](const ast::VarOrTerm& vt, std::optional<Term>* c,
+                   std::string* var) {
+      if (vt.is_var) {
+        *var = vt.var;
+      } else {
+        *c = vt.term;
+      }
+    };
+    fill(e.triple.s, &d.s, &d.s_var);
+    fill(e.triple.p, &d.p, &d.p_var);
+    fill(e.triple.o, &d.o, &d.o_var);
+    descs.push_back(std::move(d));
+  }
+  const Graph& g = db->dataset().default_graph();
+  const opt::CardinalityEstimator estimator(&g, db->stats().Find(&g));
+  std::vector<const ast::TriplePattern*> ordered;
+  for (const opt::PlannedStep& s : opt::PlanBgp(descs, {}, estimator).steps) {
+    ordered.push_back(bgp[s.input_index]);
+  }
+  *count = static_cast<int64_t>(oracle::MatchBgp(g, ordered).size());
+  Timer timer;
+  for (int i = 0; i < reps; ++i) {
+    *count = static_cast<int64_t>(oracle::MatchBgp(g, ordered).size());
+  }
+  return timer.ElapsedMs() / reps;
 }
 
 /// True when the executed plan's EXPLAIN output names `op` as a physical
@@ -197,11 +244,31 @@ int RunDictSmoke(int reps) {
     double id_ms;
     double scan_ms;
     double speedup;
-    size_t rows;
+    int64_t rows;  // solutions counted
     size_t triples;
     bool gated;  // participates in the 5x floor
   };
   std::vector<DictResult> results;
+  bool ok = true;
+  // Times `q` both ways and records the result; both must count the same
+  // solutions.
+  auto measure = [&](SSDM* db, const char* name, const std::string& q,
+                     bool gated) {
+    int64_t id_count = 0;
+    int64_t scan_count = 0;
+    const double id_ms = TimeIdQuery(db, q, reps, &id_count);
+    const double scan_ms = TimeScanAndBind(db, q, reps, &scan_count);
+    if (id_count != scan_count) {
+      std::fprintf(stderr,
+                   "FAIL: %s counts %lld solutions on the ID path but %lld "
+                   "by scan-and-bind\n",
+                   name, static_cast<long long>(id_count),
+                   static_cast<long long>(scan_count));
+      ok = false;
+    }
+    results.push_back({name, id_ms, scan_ms, id_ms > 0 ? scan_ms / id_ms : 0.0,
+                       id_count, db->dataset().default_graph().size(), gated});
+  };
 
   // Workloads are built in separate scopes so peak memory stays at one
   // 1M+-triple graph at a time.
@@ -216,16 +283,11 @@ int RunDictSmoke(int reps) {
     const std::string q =
         "SELECT (COUNT(*) AS ?n) WHERE { ?d dc:creator ?a . "
         "?d dcterms:issued ?y . ?d swrc:journal ?j }";
-    size_t rows = 0;
-    double id_ms = TimeIdMode(&db, q, true, reps, &rows);
-    double scan_ms = TimeIdMode(&db, q, false, reps, &rows);
+    measure(&db, "star", q, true);
     if (!PlanShows(&db, q, "hash-join")) {
       std::fprintf(stderr, "FAIL: star EXPLAIN does not show a hash join\n");
       return 1;
     }
-    results.push_back({"star", id_ms, scan_ms,
-                       id_ms > 0 ? scan_ms / id_ms : 0.0, rows, g.size(),
-                       true});
 
     // Selective chain: one journal's ~1,660 documents probe the 350k-row
     // creator range by subject (a bind join) instead of scanning it — the
@@ -234,16 +296,12 @@ int RunDictSmoke(int reps) {
     const std::string sel_q =
         "SELECT (COUNT(*) AS ?n) WHERE { ?d swrc:journal "
         "<http://localhost/publications/journal/j5> . ?d dc:creator ?a }";
-    double sid_ms = TimeIdMode(&db, sel_q, true, reps, &rows);
-    double sscan_ms = TimeIdMode(&db, sel_q, false, reps, &rows);
+    measure(&db, "selective", sel_q, false);
     if (!PlanShows(&db, sel_q, "bind-join")) {
       std::fprintf(stderr,
                    "FAIL: selective chain EXPLAIN does not show a bind join\n");
       return 1;
     }
-    results.push_back({"selective", sid_ms, sscan_ms,
-                       sid_ms > 0 ? sscan_ms / sid_ms : 0.0, rows, g.size(),
-                       false});
   }
   {
     SSDM db;
@@ -255,32 +313,22 @@ int RunDictSmoke(int reps) {
     const std::string chain_q =
         "SELECT (COUNT(*) AS ?n) WHERE { ?a bibo:cites ?b . "
         "?b bench:extends ?c . ?c bibo:cites ?d }";
-    size_t rows = 0;
-    double id_ms = TimeIdMode(&db, chain_q, true, reps, &rows);
-    double scan_ms = TimeIdMode(&db, chain_q, false, reps, &rows);
-    results.push_back({"chain", id_ms, scan_ms,
-                       id_ms > 0 ? scan_ms / id_ms : 0.0, rows, g.size(),
-                       true});
+    measure(&db, "chain", chain_q, true);
 
     // Object-object join: both scans are sorted on the join column, so the
     // executor picks a merge join. Reported, not gated.
     const std::string merge_q =
         "SELECT (COUNT(*) AS ?n) WHERE { ?a bibo:cites ?j . "
         "?b bench:extends ?j }";
-    double mid_ms = TimeIdMode(&db, merge_q, true, reps, &rows);
-    double mscan_ms = TimeIdMode(&db, merge_q, false, reps, &rows);
+    measure(&db, "merge", merge_q, false);
     if (!PlanShows(&db, merge_q, "merge-join")) {
       std::fprintf(stderr, "FAIL: EXPLAIN does not show a merge join\n");
       return 1;
     }
-    results.push_back({"merge", mid_ms, mscan_ms,
-                       mid_ms > 0 ? mscan_ms / mid_ms : 0.0, rows, g.size(),
-                       false});
   }
 
   std::printf("Dictionary ID-join benchmark (%d reps)\n\n", reps);
   Table table({"workload", "triples", "rows", "scan ms", "id ms", "speedup"});
-  bool ok = true;
   std::string json = "{\"floor\": 5.0, \"workloads\": [";
   for (size_t i = 0; i < results.size(); ++i) {
     const DictResult& r = results[i];
@@ -325,7 +373,10 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--dict-smoke") == 0) dict = true;
   }
   if (dict) return RunDictSmoke(smoke ? 1 : 3);
-  const int reps = smoke ? 1 : 5;
+  // One timed run per order is too noisy for the star's 2x floor on a query
+  // this short (~0.05 ms in parse order on the ID path): one of ten such
+  // runs read 1.06x. Twenty per order average the noise out.
+  const int reps = smoke ? 20 : 100;
   const int kSubjects = smoke ? 400 : 1500;
   const int kFan = 4;
 
@@ -362,10 +413,6 @@ int main(int argc, char** argv) {
   Table table({"workload", "order", "rows", "ms", "speedup"});
   bool ok = true;
   double star_speedup = 0.0;
-  // Force the scan-and-bind executor: with ID joins on, both pattern
-  // orders are fast and the cost-vs-textual gap this gate watches
-  // disappears. --dict-smoke covers the ID-join path.
-  db.exec_options().use_id_joins = false;
   for (const Workload& w : workloads) {
     size_t rows_cost = 0;
     size_t rows_text = 0;
@@ -374,6 +421,7 @@ int main(int argc, char** argv) {
     double cost_ms = TimeQuery(&db, w.query, reps, &rows_cost);
     bool reordered = PlanReordered(&db, w.query);
     db.exec_options().optimize_join_order = false;
+    TimeQuery(&db, w.query, 1, &rows_text);  // warm-up
     double text_ms = TimeQuery(&db, w.query, reps, &rows_text);
     db.exec_options().optimize_join_order = true;
 
@@ -407,7 +455,6 @@ int main(int argc, char** argv) {
   table.Print();
 
   db.exec_options().optimize_join_order = true;
-  db.exec_options().use_id_joins = true;
   std::printf("\nStar plan:\n%s\n", db.Explain(workloads[0].query)->c_str());
 
   if (star_speedup < 2.0) {

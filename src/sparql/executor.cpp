@@ -956,11 +956,7 @@ class ExecImpl {
                             PlanRecord{ordered.patterns, ordered.est,
                                        ordered.reordered});
     }
-    if (options_.use_id_joins && st.graph != nullptr) {
-      return EvalBgpIds(ordered.patterns, bgp, filters, st, k);
-    }
-    std::vector<bool> filter_done(filters.size(), false);
-    return EvalBgpRec(ordered.patterns, filters, &filter_done, 0, st, k);
+    return EvalBgpIds(ordered.patterns, bgp, filters, st, k);
   }
 
   /// Evaluates the ordered patterns as one ID join over the graph's
@@ -1075,10 +1071,9 @@ class ExecImpl {
     // The sink binds each finished row's slot variables through
     // pre-inserted map cells (Binding is node-based, so the iterators
     // survive whatever the continuation does to other keys), checks the
-    // array residuals, then applies every pushed filter — the same
-    // end-of-BGP accept/reject state scan-and-bind reaches, since
-    // EvalFilter maps evaluation errors to rejection. The join fixes its
-    // row layout before the first row, so the cells are set up then.
+    // array residuals, then applies every pushed filter to the finished
+    // row; EvalFilter maps evaluation errors to rejection. The join fixes
+    // its row layout before the first row, so the cells are set up then.
     IdJoinResult res;
     // Per column: the binding cell it sets, or the array it must equal.
     std::vector<std::pair<Binding::iterator, const Term*>> cells;
@@ -1179,112 +1174,6 @@ class ExecImpl {
     }
   }
 
-  Result<bool> EvalBgpRec(const std::vector<const TriplePattern*>& patterns,
-                          const std::vector<const ast::Expr*>& filters,
-                          std::vector<bool>* filter_done, size_t i, State& st,
-                          const Cont& k) {
-    // The join loop re-enters here once per candidate binding per pattern,
-    // which makes it the natural cancellation point for BGP evaluation.
-    SCISPARQL_RETURN_NOT_OK(CheckInterrupt());
-    // Apply any pushed filter whose variables are now all bound.
-    std::vector<size_t> applied_here;
-    for (size_t f = 0; f < filters.size(); ++f) {
-      if ((*filter_done)[f]) continue;
-      std::set<std::string> vars;
-      CollectExprVars(*filters[f], &vars);
-      bool ready = true;
-      for (const std::string& v : vars) {
-        if (st.binding.count(v) == 0) {
-          ready = false;
-          break;
-        }
-      }
-      if (!ready) continue;
-      (*filter_done)[f] = true;
-      applied_here.push_back(f);
-      SCISPARQL_ASSIGN_OR_RETURN(bool pass, EvalFilter(*filters[f], st));
-      if (!pass) {
-        for (size_t g : applied_here) (*filter_done)[g] = false;
-        return true;
-      }
-    }
-    auto undo_filters = [&]() {
-      for (size_t g : applied_here) (*filter_done)[g] = false;
-    };
-
-    if (i >= patterns.size()) {
-      // Remaining filters reference unbound vars: evaluate (will reject
-      // solutions via error->false) to respect SPARQL semantics.
-      for (size_t f = 0; f < filters.size(); ++f) {
-        if ((*filter_done)[f]) continue;
-        SCISPARQL_ASSIGN_OR_RETURN(bool pass, EvalFilter(*filters[f], st));
-        if (!pass) {
-          undo_filters();
-          return true;
-        }
-      }
-      Result<bool> r = k();
-      undo_filters();
-      return r;
-    }
-
-    const TriplePattern& tp = *patterns[i];
-    Result<bool> result = true;
-
-    if (tp.path != nullptr) {
-      // There is one path evaluator: the pattern runs as an ID join of one
-      // step, continuing into the rest of the BGP.
-      result = EvalBgpIds({&tp}, {}, {}, st, [&]() {
-        return EvalBgpRec(patterns, filters, filter_done, i + 1, st, k);
-      });
-      undo_filters();
-      return result;
-    }
-
-    auto resolve = [&](const VarOrTerm& vt) -> Term {
-      if (!vt.is_var) return vt.term;
-      auto it = st.binding.find(vt.var);
-      return it == st.binding.end() ? Term() : it->second;
-    };
-    Term s = resolve(tp.s);
-    Term p = resolve(tp.p);
-    Term o = resolve(tp.o);
-
-    Status inner_status = Status::OK();
-    bool keep_going = true;
-    st.graph->Match(s, p, o, [&](const Triple& t) -> bool {
-      if (profile_) ++scan_input_[patterns[i]];
-      // Bind wildcard positions, checking repeated-variable consistency.
-      std::vector<std::string> bound_here;
-      auto bind_pos = [&](const VarOrTerm& vt, const Term& value) -> bool {
-        if (!vt.is_var) return true;
-        auto it = st.binding.find(vt.var);
-        if (it != st.binding.end()) return it->second == value;
-        st.binding[vt.var] = value;
-        bound_here.push_back(vt.var);
-        return true;
-      };
-      bool consistent = bind_pos(tp.s, t.s) && bind_pos(tp.p, t.p) &&
-                        bind_pos(tp.o, t.o);
-      if (consistent) {
-        if (profile_) ++scan_actual_[patterns[i]];
-        Result<bool> r =
-            EvalBgpRec(patterns, filters, filter_done, i + 1, st, k);
-        if (!r.ok()) {
-          inner_status = r.status();
-          keep_going = false;
-        } else if (!*r) {
-          keep_going = false;
-        }
-      }
-      for (const std::string& v : bound_here) st.binding.erase(v);
-      return keep_going;
-    });
-    undo_filters();
-    SCISPARQL_RETURN_NOT_OK(inner_status);
-    return keep_going;
-  }
-
   // --- Expression context. ---
 
   EvalContext MakeCtx(State& st) {
@@ -1319,15 +1208,18 @@ class ExecImpl {
   Result<std::vector<Binding>> CollectSolutions(const SelectQuery& q,
                                                 Binding initial) {
     const Graph* graph = &dataset_->default_graph();
-    // FROM <g>: query the merge of the named graphs instead of the default.
+    // FROM <g>: query the merge of the named graphs instead of the default,
+    // built as one batch (set semantics drop a triple two graphs share).
     Graph merged;
     if (!q.from.empty()) {
+      WriteBatch batch;
       for (const std::string& iri : q.from) {
         const Graph* g = dataset_->FindNamed(iri);
         if (g != nullptr) {
-          g->ForEach([&merged](const Triple& t) { merged.Add(t); });
+          g->ForEach([&batch](const Triple& t) { batch.Add(t); });
         }
       }
+      merged.Apply(std::move(batch));
       graph = &merged;
     }
     State st{graph, std::move(initial)};
@@ -2114,9 +2006,8 @@ class ExecImpl {
     std::vector<const TriplePattern*> order;
     std::vector<int64_t> est;
     bool reordered = false;
-    /// Physical-operator labels per step when the ID-join path ran
-    /// ("index-scan(SPO)", "merge-join(POS on ?x)", ...); empty when the
-    /// BGP executed via scan-and-bind.
+    /// Physical-operator labels per step ("index-scan(SPO)",
+    /// "merge-join(POS on ?x)", ...), filled by the BGP's first ID join.
     std::vector<std::string> phys;
   };
 

@@ -55,16 +55,11 @@ struct ExecOptions {
   /// execute in parse order.
   bool optimize_join_order = true;
 
-  /// Hoist FILTERs to the earliest point where their variables are bound.
+  /// Merge the FILTERs that directly follow a run of triple patterns into
+  /// that BGP: their sargable conjuncts feed the cardinality estimator, and
+  /// they run on each joined row as it leaves the BGP's ID join. Off = they
+  /// run as separate steps after the BGP, and the estimator sees no hints.
   bool push_filters = true;
-
-  /// Evaluate every BGP as one join over the dictionary-ID permutation
-  /// indexes (ExecuteIdJoin): index scans, bind / merge / hash joins and
-  /// path steps. Off = scan-and-bind over Graph::Match, kept as the
-  /// reference that the equivalence tests and the bench_join_order and
-  /// bench_concurrent_throughput gates compare against. Property paths
-  /// run over IDs either way; there is one path evaluator.
-  bool use_id_joins = true;
 
   /// Graph statistics registry feeding the join-order cost model
   /// (per-predicate counts, distinct-value counts, histograms). Not owned;

@@ -311,6 +311,22 @@ TEST_F(ExecutorTest, FromMergesNamedGraph) {
   EXPECT_EQ(r.rows[0][0], Term::Integer(99));
 }
 
+TEST_F(ExecutorTest, FromTwoGraphsSharingATripleReturnsItOnce) {
+  // FROM merges the named graphs as a set: the triple both hold is one
+  // triple of the merge.
+  ASSERT_TRUE(db_.LoadTurtleString("@prefix ex: <http://example.org/> .\n"
+                                   "ex:y ex:score 99 . ex:z ex:score 7 .",
+                                   "http://example.org/g2")
+                  .ok());
+  ASSERT_TRUE(db_.LoadTurtleString("@prefix ex: <http://example.org/> .\n"
+                                   "ex:y ex:score 99 . ex:w ex:score 8 .",
+                                   "http://example.org/g3")
+                  .ok());
+  auto r = Q("SELECT ?s ?v FROM ex:g2 FROM ex:g3 WHERE { ?s ex:score ?v } "
+             "ORDER BY ?v");
+  EXPECT_EQ(Column(r, 1), (std::vector<std::string>{"7", "8", "99"}));
+}
+
 TEST_F(ExecutorTest, UpdateInsertDelete) {
   ASSERT_TRUE(scisparql::Run(db_, "INSERT DATA { ex:new ex:score 40 }").ok());
   EXPECT_TRUE(*Ask(db_, "ASK { ex:new ex:score 40 }"));

@@ -1,7 +1,8 @@
 // Dictionary / ID-tuple layer tests: term interning, permutation indexes,
-// ID-join vs scan-and-bind equivalence, physical-operator reporting in
-// EXPLAIN / EXPLAIN ANALYZE, the solution-modifier pipeline over both
-// executors, dictionary-encoded WAL batches and snapshot sections.
+// the ID pipeline against the oracle (tests/oracle/) and its named
+// divergence classes, physical-operator reporting in EXPLAIN / EXPLAIN
+// ANALYZE, the solution-modifier pipeline, dictionary-encoded WAL batches
+// and snapshot sections.
 
 #include <algorithm>
 #include <cmath>
@@ -14,6 +15,7 @@
 
 #include "apps/bistab.h"
 #include "engine/ssdm.h"
+#include "oracle/oracle.h"
 #include "rdf/dictionary.h"
 #include "rdf/graph.h"
 #include "rdf/id_index.h"
@@ -164,11 +166,22 @@ TEST(IdIndexes, RebuildAfterRemoveSkipsTombstones) {
 }
 
 // ---------------------------------------------------------------------------
-// ID-join fast path vs scan-and-bind: identical results.
+// The ID pipeline against the oracle: identical results.
 // ---------------------------------------------------------------------------
 
+/// Rows rendered for comparison, in their order.
+std::vector<std::string> RowKeys(const std::vector<std::vector<Term>>& rows) {
+  std::vector<std::string> out;
+  for (const auto& row : rows) {
+    std::string k;
+    for (const Term& t : row) k += t.ToString() + "\x1f";
+    out.push_back(std::move(k));
+  }
+  return out;
+}
+
 /// Engine with a small social-graph-shaped dataset exercised by every
-/// equivalence query below, run through both executors.
+/// equivalence query below, run through the engine and the oracle.
 class IdJoinTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -185,49 +198,38 @@ ex:loop ex:knows ex:loop .
                     .ok());
   }
 
-  /// Runs `q` with ID joins on and off and returns both row sets; asserts
-  /// both succeed.
-  void BothPaths(const std::string& q, std::vector<std::vector<Term>>* id_rows,
-                 std::vector<std::vector<Term>>* scan_rows) {
-    db_.exec_options().use_id_joins = true;
+  /// Runs `q` on the engine and on the oracle (engine semantics) and
+  /// returns both rows, rendered; asserts both succeed.
+  void EngineAndOracle(const std::string& q, std::vector<std::string>* engine,
+                       std::vector<std::string>* reference) {
     auto r1 = Query(db_, q);
     ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-    *id_rows = r1->rows;
-    db_.exec_options().use_id_joins = false;
-    auto r2 = Query(db_, q);
+    *engine = RowKeys(r1->rows);
+    auto r2 = oracle::Evaluate(db_, q);
     ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-    *scan_rows = r2->rows;
-    db_.exec_options().use_id_joins = true;
+    *reference = RowKeys(r2->rows);
   }
 
-  /// Asserts both executors produce the same multiset of rows.
+  /// Asserts the engine and the oracle produce the same multiset of rows.
   void ExpectSameRows(const std::string& q) {
-    std::vector<std::vector<Term>> id_rows, scan_rows;
-    BothPaths(q, &id_rows, &scan_rows);
-    auto key = [](const std::vector<Term>& row) {
-      std::string k;
-      for (const Term& t : row) k += t.ToString() + "\x1f";
-      return k;
-    };
     std::vector<std::string> a, b;
-    for (const auto& r : id_rows) a.push_back(key(r));
-    for (const auto& r : scan_rows) b.push_back(key(r));
+    EngineAndOracle(q, &a, &b);
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     EXPECT_EQ(a, b) << q;
   }
 
-  /// Asserts both executors produce identical ordered rows.
+  /// Asserts the engine and the oracle produce identical ordered rows.
   void ExpectSameOrderedRows(const std::string& q) {
-    std::vector<std::vector<Term>> id_rows, scan_rows;
-    BothPaths(q, &id_rows, &scan_rows);
-    EXPECT_EQ(id_rows, scan_rows) << q;
+    std::vector<std::string> a, b;
+    EngineAndOracle(q, &a, &b);
+    EXPECT_EQ(a, b) << q;
   }
 
   SSDM db_;
 };
 
-TEST_F(IdJoinTest, StarChainAndCrossQueriesMatchScanAndBind) {
+TEST_F(IdJoinTest, StarChainAndCrossQueriesMatchTheOracle) {
   // Subject star (hash joins).
   ExpectSameRows("SELECT ?s ?f ?a WHERE { ?s ex:knows ?f . ?s ex:age ?a }");
   // Chain (object of one pattern is subject of the next).
@@ -251,12 +253,12 @@ TEST_F(IdJoinTest, RepeatedVariablesAndMissingConstantsMatch) {
       "SELECT ?s ?o WHERE { ?s ex:nothere ?o . ?o ex:knows ?x }");
 }
 
-TEST_F(IdJoinTest, FiltersApplyIdenticallyOnBothPaths) {
+TEST_F(IdJoinTest, FiltersApplyAsInTheOracle) {
   ExpectSameRows(
       "SELECT ?s ?a WHERE { ?s ex:knows ?f . ?s ex:age ?a . "
       "FILTER(?a > 24 && ?a < 31) }");
   // A filter that errors for some rows (division by zero semantics):
-  // error rows are rejected on both paths.
+  // error rows are rejected by both.
   ExpectSameRows(
       "SELECT ?s WHERE { ?s ex:age ?a . ?s ex:knows ?f . "
       "FILTER(10 / (?a - 25) > 0) }");
@@ -266,9 +268,20 @@ TEST_F(IdJoinTest, CrossKindNumericConstantsMatch) {
   ASSERT_TRUE(scisparql::Run(db_, "INSERT DATA { ex:m ex:score 10.0 . "
                       "ex:m ex:name \"mallory\" }")
                   .ok());
-  // Integer literal 10 must match the stored double 10.0 on both paths
-  // (the dictionary holds one ID per numeric value).
-  ExpectSameRows("SELECT ?n WHERE { ?s ex:score 10 . ?s ex:name ?n }");
+  // Integer literal 10 must match the stored double 10.0 (the dictionary
+  // holds one ID per numeric value).
+  const std::string q = "SELECT ?n WHERE { ?s ex:score 10 . ?s ex:name ?n }";
+  ExpectSameRows(q);
+  // The named divergence: W3C matches BGP terms by RDF term equality, so
+  // an xsd:integer constant misses the stored xsd:double.
+  auto w3c = oracle::Evaluate(db_, q,
+                              oracle::Semantics::Engine().Without(
+                                  oracle::Divergence::kExactValueNumerics));
+  ASSERT_TRUE(w3c.ok()) << w3c.status().ToString();
+  EXPECT_TRUE(w3c->rows.empty());
+  auto engine = Query(db_, q);
+  ASSERT_TRUE(engine.ok());
+  EXPECT_EQ(engine->rows.size(), 1u);
 }
 
 /// An unbound slot of a hand-lowered pattern.
@@ -342,17 +355,18 @@ TEST_F(IdJoinTest, JoinPastTheRowCapStreams) {
 }
 
 TEST_F(IdJoinTest, NumericAliasInDataDisablesFastPathSafely) {
-  // 25.0 next to a stored 25 is one value: both executors must agree.
+  // 25.0 next to a stored 25 is one value: the engine and the oracle must
+  // agree.
   ASSERT_TRUE(scisparql::Run(db_, "INSERT DATA { ex:z ex:age 25.0 . "
                       "ex:z ex:knows ex:a }")
                   .ok());
   ExpectSameRows("SELECT ?s WHERE { ?s ex:age 25 . ?s ex:knows ?f }");
 }
 
-TEST_F(IdJoinTest, IntegerConstantPastDoublePrecisionMatchesScanAndBind) {
+TEST_F(IdJoinTest, IntegerConstantPastDoublePrecisionMatchesTheOracle) {
   // Stored double 2^53; the query constant 2^53+1 widens to exactly that
-  // double under FILTER `=`, but BGP matching is by exact value, so both
-  // paths must agree that it matches nothing.
+  // double under FILTER `=`, but BGP matching is by exact value, so the
+  // engine and the oracle must agree that it matches nothing.
   ASSERT_TRUE(scisparql::Run(db_, "INSERT DATA { ex:big ex:score 9007199254740992.0 . "
                       "ex:big ex:name \"big\" }")
                   .ok());
@@ -366,26 +380,30 @@ TEST_F(IdJoinTest, IntegerConstantPastDoublePrecisionMatchesScanAndBind) {
 TEST(IdJoinEdge, DoubleConstantPastPrecisionDoesNotMissStoredInteger) {
   // The mirror image: a huge integer stored, a double query constant equal
   // to it only under widening. BGP matching is by exact value, so the
-  // constant matches nothing on either path; FILTER `=` keeps XPath
-  // numeric promotion and still finds the row.
+  // constant matches nothing in the engine or the oracle; FILTER `=` keeps
+  // XPath numeric promotion and still finds the row.
   SSDM db;
   db.prefixes().Set("ex", "http://example.org/");
   ASSERT_TRUE(scisparql::Run(db, "INSERT DATA { ex:huge ex:score 9007199254740993 . "
                       "ex:huge ex:name \"huge\" }")
                   .ok());
-  for (bool id_joins : {true, false}) {
-    db.exec_options().use_id_joins = id_joins;
-    auto r = Query(db,
-                   "SELECT ?n WHERE { ?s ex:score 9007199254740992.0 . "
-                   "?s ex:name ?n }");
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r->rows.size(), 0u) << "use_id_joins=" << id_joins;
-    auto f = Query(db,
-                   "SELECT ?n WHERE { ?s ex:score ?v . ?s ex:name ?n . "
-                   "FILTER (?v = 9007199254740992.0) }");
-    ASSERT_TRUE(f.ok()) << f.status().ToString();
-    EXPECT_EQ(f->rows.size(), 1u) << "use_id_joins=" << id_joins;
-  }
+  const std::string constant =
+      "SELECT ?n WHERE { ?s ex:score 9007199254740992.0 . ?s ex:name ?n }";
+  const std::string filter =
+      "SELECT ?n WHERE { ?s ex:score ?v . ?s ex:name ?n . "
+      "FILTER (?v = 9007199254740992.0) }";
+  auto r = Query(db, constant);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows.size(), 0u);
+  auto f = Query(db, filter);
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  EXPECT_EQ(f->rows.size(), 1u);
+  auto oracle_r = oracle::Evaluate(db, constant);
+  ASSERT_TRUE(oracle_r.ok()) << oracle_r.status().ToString();
+  EXPECT_EQ(oracle_r->rows.size(), 0u);
+  auto oracle_f = oracle::Evaluate(db, filter);
+  ASSERT_TRUE(oracle_f.ok()) << oracle_f.status().ToString();
+  EXPECT_EQ(oracle_f->rows.size(), 1u);
 }
 
 TEST(IdJoinEdge, PathEndPastPrecisionMatchesByExactValueLikeALink) {
@@ -422,7 +440,6 @@ TEST_F(IdJoinTest, DeltaResidentConstantsResolveThroughIdPath) {
                       "ex:f ex:name \"fred\" }")
                   .ok());
   ASSERT_TRUE(db_.dataset().default_graph().HasDelta());
-  db_.exec_options().use_id_joins = true;
   auto r = Query(db_, "SELECT ?n WHERE { ?s ex:age 33 . ?s ex:name ?n }");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->rows.size(), 1u);
@@ -482,11 +499,45 @@ TEST(IdJoinArrays, BistabQ4TakesTheIdPath) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_NE(plan->find("index-scan("), std::string::npos) << *plan;
   EXPECT_NE(plan->find("-join("), std::string::npos) << *plan;
-  db.exec_options().use_id_joins = false;
-  auto scan_rows = Query(db, q4);
-  ASSERT_TRUE(scan_rows.ok()) << scan_rows.status().ToString();
-  EXPECT_EQ(id_rows->rows, scan_rows->rows);
-  EXPECT_EQ(id_rows->rows.size(), 3u);
+  ASSERT_EQ(id_rows->rows.size(), 3u);
+
+  // The oracle has no GROUP BY: it answers Q4's pattern (the BGP and the
+  // BIND), checked against the engine, and the test groups its rows.
+  const size_t where = q4.find("WHERE {");
+  const size_t group = q4.find("} GROUP BY");
+  ASSERT_NE(where, std::string::npos);
+  ASSERT_NE(group, std::string::npos);
+  const std::string solutions = q4.substr(0, q4.find("SELECT")) +
+                                "SELECT ?task ?k1 ?high " +
+                                q4.substr(where, group + 1 - where);
+  auto engine = Query(db, solutions);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto reference = oracle::Evaluate(db, solutions);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  std::vector<std::string> a = RowKeys(engine->rows);
+  std::vector<std::string> b = RowKeys(reference->rows);
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  EXPECT_EQ(a, b);
+  // Q4 per ?k1: the mean of ?high and the realization count.
+  std::vector<std::vector<Term>> grouped;
+  for (const auto& row : reference->rows) {
+    auto it = std::find_if(grouped.begin(), grouped.end(),
+                           [&](const auto& g) { return g[0] == row[1]; });
+    if (it == grouped.end()) {
+      grouped.push_back({row[1], Term::Double(0), Term::Integer(0)});
+      it = grouped.end() - 1;
+    }
+    (*it)[1] = Term::Double((*it)[1].dbl() + *row[2].AsDouble());
+    (*it)[2] = Term::Integer((*it)[2].integer() + 1);
+  }
+  for (auto& g : grouped) {
+    g[1] = Term::Double(g[1].dbl() / static_cast<double>(g[2].integer()));
+  }
+  std::sort(grouped.begin(), grouped.end(), [](const auto& x, const auto& y) {
+    return Term::Compare(x[0], y[0]) < 0;
+  });
+  EXPECT_EQ(id_rows->rows, grouped);
 }
 
 /// ex:a and ex:d hold one array object, ex:c a distinct value-equal copy,
@@ -506,13 +557,10 @@ class IdJoinArrayTest : public ::testing::Test {
     }
   }
 
-  std::multiset<std::string> Rows(const std::string& q, bool id_joins) {
-    db_.exec_options().use_id_joins = id_joins;
-    auto r = Query(db_, q);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  static std::multiset<std::string> Keys(
+      const std::vector<std::vector<Term>>& rows) {
     std::multiset<std::string> out;
-    if (!r.ok()) return out;
-    for (const auto& row : r->rows) {
+    for (const auto& row : rows) {
       std::string k;
       for (const Term& t : row) k += t.ToString() + " ";
       out.insert(k);
@@ -520,19 +568,35 @@ class IdJoinArrayTest : public ::testing::Test {
     return out;
   }
 
+  /// The engine's rows for `q`.
+  std::multiset<std::string> Rows(const std::string& q) {
+    auto r = Query(db_, q);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? Keys(r->rows) : std::multiset<std::string>();
+  }
+
+  /// The oracle's rows for `q` under `sem`.
+  std::multiset<std::string> OracleRows(
+      const std::string& q,
+      oracle::Semantics sem = oracle::Semantics::Engine()) {
+    auto r = oracle::Evaluate(db_, q, sem);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? Keys(r->rows) : std::multiset<std::string>();
+  }
+
   SSDM db_;
   Term shared_;
 };
 
-TEST_F(IdJoinArrayTest, OuterBoundArrayMatchesByValueOnBothPaths) {
+TEST_F(IdJoinArrayTest, OuterBoundArrayMatchesByValue) {
   // The OPTIONAL's BGP sees ?v bound to ex:a's array: it lowers to a slot
   // plus a value check, so ex:c's equal copy matches as well as ex:d's
-  // shared object — as scan-and-bind's value scan does.
+  // shared object — as the oracle's value match does.
   const std::string q =
       "SELECT ?s ?n WHERE { ?s ex:arr ?v . "
       "OPTIONAL { ?t ex:copy ?v . ?t ex:name ?n } }";
-  std::multiset<std::string> id = Rows(q, true);
-  EXPECT_EQ(id, Rows(q, false));
+  std::multiset<std::string> id = Rows(q);
+  EXPECT_EQ(id, OracleRows(q));
   EXPECT_EQ(id, (std::multiset<std::string>{
                     "<http://example.org/a> \"c\" ",
                     "<http://example.org/a> \"d\" ",
@@ -542,13 +606,18 @@ TEST_F(IdJoinArrayTest, OuterBoundArrayMatchesByValueOnBothPaths) {
 TEST_F(IdJoinArrayTest, SharedArrayVariableJoinsByStoredIdentity) {
   // The named divergence: two patterns sharing an array variable join by
   // the stored object on the ID path (ex:d holds ex:a's object, ex:c only
-  // an equal copy); scan-and-bind substitutes the value instead.
+  // an equal copy); by SciSPARQL's array equality they join by value.
   const std::string q =
       "SELECT ?s ?t WHERE { ?s ex:arr ?v . ?t ex:copy ?v }";
-  EXPECT_EQ(Rows(q, true),
-            std::multiset<std::string>{
-                "<http://example.org/a> <http://example.org/d> "});
-  EXPECT_EQ(Rows(q, false).size(), 2u);
+  const std::multiset<std::string> engine = Rows(q);
+  EXPECT_EQ(engine, std::multiset<std::string>{
+                        "<http://example.org/a> <http://example.org/d> "});
+  EXPECT_EQ(engine, OracleRows(q));
+  EXPECT_EQ(OracleRows(q, oracle::Semantics::Engine().Without(
+                              oracle::Divergence::kArrayIdentityJoins)),
+            (std::multiset<std::string>{
+                "<http://example.org/a> <http://example.org/c> ",
+                "<http://example.org/a> <http://example.org/d> "}));
 }
 
 TEST_F(IdJoinArrayTest, PendingArrayTombstoneSuppressesItsBaseCopy) {
@@ -559,8 +628,8 @@ TEST_F(IdJoinArrayTest, PendingArrayTombstoneSuppressesItsBaseCopy) {
   EXPECT_EQ(g.Remove(Triple{I("a"), I("arr"), IntArray({1, 2, 3})}), 1u);
   ASSERT_TRUE(g.HasDelta());
   const std::string q = "SELECT ?s ?n WHERE { ?s ex:arr ?v . ?s ex:name ?n }";
-  std::multiset<std::string> id = Rows(q, true);
-  EXPECT_EQ(id, Rows(q, false));
+  std::multiset<std::string> id = Rows(q);
+  EXPECT_EQ(id, OracleRows(q));
   EXPECT_EQ(id, (std::multiset<std::string>{
                     "<http://example.org/b> \"b\" "}));
 }
@@ -571,11 +640,12 @@ TEST_F(IdJoinArrayTest, PathArrayEndMatchesValueEqualNodes) {
   // reach ex:a's value, ex:b's different array does not.
   const std::string q =
       "SELECT ?t WHERE { ex:a ex:arr ?v . ?t ex:copy+ ?v }";
-  EXPECT_EQ(Rows(q, true), (std::multiset<std::string>{
-                               "<http://example.org/c> ",
-                               "<http://example.org/d> "}));
+  EXPECT_EQ(Rows(q), (std::multiset<std::string>{"<http://example.org/c> ",
+                                                 "<http://example.org/d> "}));
+  EXPECT_EQ(Rows(q), OracleRows(q));
   const std::string inv = "SELECT ?t WHERE { ex:a ex:arr ?v . ?v ^ex:copy ?t }";
-  EXPECT_EQ(Rows(inv, true), Rows(q, true));
+  EXPECT_EQ(Rows(inv), Rows(q));
+  EXPECT_EQ(OracleRows(inv), Rows(q));
 }
 
 // ---------------------------------------------------------------------------
@@ -612,8 +682,8 @@ class BindJoinTest : public IdJoinTest {
     ASSERT_TRUE(db_.LoadTurtleString(ttl).ok());
   }
 
-  /// Asserts that both executors agree on `q` and that the ID path ran it
-  /// with a bind join whose label contains `label`.
+  /// Asserts that the engine agrees with the oracle on `q` and that the ID
+  /// path ran it with a bind join whose label contains `label`.
   void ExpectBindJoin(const std::string& q,
                       const std::string& label = "bind-join(") {
     ExpectSameRows(q);
@@ -630,7 +700,7 @@ const char kBindStar[] =
     "SELECT ?d ?y ?p WHERE { ?d ex:journal ex:j3 . ?d ex:year ?y . "
     "?d ex:creator ?p }";
 
-TEST_F(BindJoinTest, ChainAndStarMatchScanAndBind) {
+TEST_F(BindJoinTest, ChainAndStarMatchTheOracle) {
   ExpectBindJoin(kBindChain, "bind-join(SPO on ?d)");
   ExpectBindJoin(kBindStar, "bind-join(SPO on ?d)");
   auto rows = Query(db_, kBindChain);
@@ -801,20 +871,28 @@ TEST_F(BindJoinTest, VariableBoundOutsideByOptional) {
 }
 
 TEST_F(BindJoinTest, AskAndLimitStopEarlyWithTheSameAnswers) {
-  for (bool id_joins : {true, false}) {
-    db_.exec_options().use_id_joins = id_joins;
-    auto yes = Ask(db_, "ASK { ?d ex:journal ex:j3 . ?d ex:creator ?p . "
-                        "?p ex:name ?n }");
-    ASSERT_TRUE(yes.ok());
-    EXPECT_TRUE(*yes);
-    auto no = Ask(db_, "ASK { ?d ex:journal ex:j3 . ?d ex:creator ex:a }");
-    ASSERT_TRUE(no.ok());
-    EXPECT_FALSE(*no);
-    auto limited = Query(db_, std::string(kBindChain) + " LIMIT 3");
-    ASSERT_TRUE(limited.ok());
-    EXPECT_EQ(limited->rows.size(), 3u);
-  }
-  db_.exec_options().use_id_joins = true;
+  const std::string yes_q =
+      "ASK { ?d ex:journal ex:j3 . ?d ex:creator ?p . ?p ex:name ?n }";
+  const std::string no_q = "ASK { ?d ex:journal ex:j3 . ?d ex:creator ex:a }";
+  const std::string limited_q = std::string(kBindChain) + " LIMIT 3";
+  auto yes = Ask(db_, yes_q);
+  ASSERT_TRUE(yes.ok());
+  EXPECT_TRUE(*yes);
+  auto no = Ask(db_, no_q);
+  ASSERT_TRUE(no.ok());
+  EXPECT_FALSE(*no);
+  auto limited = Query(db_, limited_q);
+  ASSERT_TRUE(limited.ok());
+  EXPECT_EQ(limited->rows.size(), 3u);
+  auto oracle_yes = oracle::Evaluate(db_, yes_q);
+  ASSERT_TRUE(oracle_yes.ok());
+  EXPECT_TRUE(oracle_yes->ask);
+  auto oracle_no = oracle::Evaluate(db_, no_q);
+  ASSERT_TRUE(oracle_no.ok());
+  EXPECT_FALSE(oracle_no->ask);
+  auto oracle_limited = oracle::Evaluate(db_, limited_q);
+  ASSERT_TRUE(oracle_limited.ok());
+  EXPECT_EQ(oracle_limited->rows.size(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -847,12 +925,13 @@ TEST_F(IdJoinTest, ExplainAnalyzeCarriesPhysicalOperators) {
 }
 
 // ---------------------------------------------------------------------------
-// Solution-modifier pipeline over both executors (satellite: ORDER BY /
-// DISTINCT / OFFSET / LIMIT interplay must not depend on the join path).
+// Solution-modifier pipeline: ORDER BY / DISTINCT / OFFSET / LIMIT over
+// ID-join rows, against the oracle.
 // ---------------------------------------------------------------------------
 
-TEST_F(IdJoinTest, OrderByProducesIdenticalRowsOnBothPaths) {
-  // Total order (age, then name) — both executors must agree exactly.
+TEST_F(IdJoinTest, OrderByProducesTheOraclesRows) {
+  // Total order (age, then name) — the engine and the oracle must agree
+  // exactly.
   ExpectSameOrderedRows(
       "SELECT ?a ?n WHERE { ?s ex:age ?a . ?s ex:name ?n } "
       "ORDER BY ?a ?n");
@@ -861,28 +940,26 @@ TEST_F(IdJoinTest, OrderByProducesIdenticalRowsOnBothPaths) {
       "ORDER BY DESC(?a) ?n");
 }
 
-TEST_F(IdJoinTest, DistinctPreservesSortedOrderOnBothPaths) {
+TEST_F(IdJoinTest, DistinctPreservesSortedOrder) {
   ExpectSameOrderedRows(
       "SELECT DISTINCT ?a WHERE { ?s ex:age ?a . ?s ex:name ?n } "
       "ORDER BY ?a");
 }
 
-TEST_F(IdJoinTest, OffsetPastEndAndLimitZeroOnBothPaths) {
-  for (bool id_joins : {true, false}) {
-    db_.exec_options().use_id_joins = id_joins;
-    auto past = Query(db_, 
-        "SELECT ?s WHERE { ?s ex:age ?a . ?s ex:name ?n } OFFSET 100");
-    ASSERT_TRUE(past.ok());
-    EXPECT_TRUE(past->rows.empty());
-    auto zero = Query(db_, 
-        "SELECT ?s WHERE { ?s ex:age ?a . ?s ex:name ?n } LIMIT 0");
-    ASSERT_TRUE(zero.ok());
-    EXPECT_TRUE(zero->rows.empty());
+TEST_F(IdJoinTest, OffsetPastEndAndLimitZero) {
+  for (const char* q :
+       {"SELECT ?s WHERE { ?s ex:age ?a . ?s ex:name ?n } OFFSET 100",
+        "SELECT ?s WHERE { ?s ex:age ?a . ?s ex:name ?n } LIMIT 0"}) {
+    auto engine = Query(db_, q);
+    ASSERT_TRUE(engine.ok());
+    EXPECT_TRUE(engine->rows.empty()) << q;
+    auto reference = oracle::Evaluate(db_, q);
+    ASSERT_TRUE(reference.ok());
+    EXPECT_TRUE(reference->rows.empty()) << q;
   }
-  db_.exec_options().use_id_joins = true;
 }
 
-TEST_F(IdJoinTest, DistinctWithLimitOnBothPaths) {
+TEST_F(IdJoinTest, DistinctWithLimit) {
   ExpectSameOrderedRows(
       "SELECT DISTINCT ?a WHERE { ?s ex:age ?a . ?s ex:name ?n } "
       "ORDER BY ?a LIMIT 2");
