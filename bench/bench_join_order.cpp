@@ -26,15 +26,15 @@
 // selective chain bind-joins and an object-object join merge-joins, and
 // writes BENCH_dict.json.
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "engine/ssdm.h"
-#include "opt/planner.h"
 #include "oracle/oracle.h"
 #include "sparql/parser.h"
 
@@ -184,40 +184,38 @@ double TimeIdQuery(SSDM* db, const std::string& q, int reps, int64_t* count) {
 }
 
 /// Times scan-and-bind (oracle::MatchBgp) over the BGP of `q`, whose WHERE
-/// clause holds triple patterns only, in the order the cost-based planner
-/// picks for it, after one warm-up run; *count gets its solution count.
+/// clause holds triple patterns only, in the order the engine runs it,
+/// after one warm-up run; *count gets its solution count. The order is
+/// read off the scan lines of the engine's EXPLAIN plan, so it is the
+/// planner's own.
 double TimeScanAndBind(SSDM* db, const std::string& q, int reps,
                        int64_t* count) {
   auto parsed = sparql::ParseQuery(q, db->prefixes());
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "parse failed: %s\n",
-                 parsed.status().ToString().c_str());
+  auto plan = db->Explain(q);
+  if (!parsed.ok() || !plan.ok()) {
+    std::fprintf(stderr, "parse or EXPLAIN failed: %s\n",
+                 (parsed.ok() ? plan.status() : parsed.status())
+                     .ToString()
+                     .c_str());
     std::exit(1);
   }
-  std::vector<const ast::TriplePattern*> bgp;
-  std::vector<opt::PatternDesc> descs;
+  std::vector<std::pair<size_t, const ast::TriplePattern*>> at;
   for (const ast::PatternElement& e : (*parsed)->where.elements) {
-    bgp.push_back(&e.triple);
-    opt::PatternDesc d;
-    auto fill = [](const ast::VarOrTerm& vt, std::optional<Term>* c,
-                   std::string* var) {
-      if (vt.is_var) {
-        *var = vt.var;
-      } else {
-        *c = vt.term;
-      }
-    };
-    fill(e.triple.s, &d.s, &d.s_var);
-    fill(e.triple.p, &d.p, &d.p_var);
-    fill(e.triple.o, &d.o, &d.o_var);
-    descs.push_back(std::move(d));
+    const ast::TriplePattern& tp = e.triple;
+    const std::string line = "scan " + tp.s.ToString() + " " +
+                             tp.p.ToString() + " " + tp.o.ToString() + "  (";
+    const size_t pos = plan->find(line);
+    if (pos == std::string::npos) {
+      std::fprintf(stderr, "EXPLAIN has no line \"%s\":\n%s\n", line.c_str(),
+                   plan->c_str());
+      std::exit(1);
+    }
+    at.emplace_back(pos, &tp);
   }
-  const Graph& g = db->dataset().default_graph();
-  const opt::CardinalityEstimator estimator(&g, db->stats().Find(&g));
+  std::sort(at.begin(), at.end());
   std::vector<const ast::TriplePattern*> ordered;
-  for (const opt::PlannedStep& s : opt::PlanBgp(descs, {}, estimator).steps) {
-    ordered.push_back(bgp[s.input_index]);
-  }
+  for (const auto& step : at) ordered.push_back(step.second);
+  const Graph& g = db->dataset().default_graph();
   *count = static_cast<int64_t>(oracle::MatchBgp(g, ordered).size());
   Timer timer;
   for (int i = 0; i < reps; ++i) {
@@ -374,9 +372,9 @@ int main(int argc, char** argv) {
   }
   if (dict) return RunDictSmoke(smoke ? 1 : 3);
   // One timed run per order is too noisy for the star's 2x floor on a query
-  // this short (~0.05 ms in parse order on the ID path): one of ten such
-  // runs read 1.06x. Twenty per order average the noise out.
-  const int reps = smoke ? 20 : 100;
+  // this short (~0.05 ms in parse order on the ID path at smoke size): one
+  // of ten such runs read 1.06x. Twenty per order average the noise out.
+  const int reps = smoke ? 20 : 5;
   const int kSubjects = smoke ? 400 : 1500;
   const int kFan = 4;
 

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <climits>
+#include <cmath>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <utility>
 
 #include "engine/ssdm.h"
@@ -36,7 +37,7 @@ bool Same(const Term& a, const Term& b, Semantics sem, bool within_bgp) {
     return a == b;
   }
   if (a.IsNumeric() && b.IsNumeric()) {
-    return Term::Identical(a, b) &&
+    return SameValue(a, b) &&
            (sem.Has(Divergence::kExactValueNumerics) || a.kind() == b.kind());
   }
   return a == b;
@@ -46,8 +47,7 @@ bool Same(const Term& a, const Term& b, Semantics sem, bool within_bgp) {
 // Property paths: fixed points over the graph's nodes.
 // ---------------------------------------------------------------------------
 
-/// The graph's nodes (subjects and objects, arrays by stored object, the
-/// rest by the graph's identity rule) and its edges between them.
+/// The triples' nodes (subjects and objects) and their edges.
 struct NodeGraph {
   struct Edge {
     int s;
@@ -58,25 +58,39 @@ struct NodeGraph {
   std::vector<Edge> edges;
 };
 
-struct IdenticalEq {
-  bool operator()(const Term& a, const Term& b) const {
-    return Term::Identical(a, b);
+/// The name of `t`'s node under `sem`: arrays by stored object; numerics
+/// by exact value (SameValue), and by kind too unless `sem` adopts
+/// exact-value numerics; every other term by its kind and text.
+std::string NodeKey(const Term& t, Semantics sem) {
+  char buf[64];
+  if (t.IsArray()) {
+    std::snprintf(buf, sizeof(buf), "a%p",
+                  static_cast<const void*>(t.array().get()));
+    return buf;
   }
-};
+  if (t.IsNumeric()) {
+    std::string key = sem.Has(Divergence::kExactValueNumerics) ? "n"
+                      : t.kind() == Term::Kind::kInteger      ? "i"
+                                                               : "d";
+    const std::string text = IntegerText(t);
+    if (!text.empty()) return key + text;
+    if (std::isnan(t.dbl())) return key + "nan";
+    std::snprintf(buf, sizeof(buf), "%a", t.dbl());
+    return key + buf;
+  }
+  return std::to_string(static_cast<int>(t.kind())) + t.ToString();
+}
 
-NodeGraph BuildNodeGraph(const Graph& g) {
+NodeGraph BuildNodeGraph(const Triples& triples, Semantics sem) {
   NodeGraph ng;
-  std::unordered_map<Term, int, TermHash, IdenticalEq> index;
-  std::map<const ArrayValue*, int> arrays;
+  std::map<std::string, int> index;
   auto id = [&](const Term& t) {
     const int next = static_cast<int>(ng.nodes.size());
-    const int n = t.IsArray()
-                      ? arrays.emplace(t.array().get(), next).first->second
-                      : index.emplace(t, next).first->second;
+    const int n = index.emplace(NodeKey(t, sem), next).first->second;
     if (n == next) ng.nodes.push_back(t);
     return n;
   };
-  g.ForEach([&](const Triple& t) {
+  triples.Candidates(Term(), Term(), Term(), [&](const Triple& t) {
     const int s = id(t.s);
     ng.edges.push_back({s, t.p, id(t.o)});
   });
@@ -183,9 +197,14 @@ bool Nullable(const ast::Path& p) {
 
 class BgpMatcher {
  public:
-  BgpMatcher(const Graph& g, const std::vector<const TriplePattern*>& patterns,
-             Semantics sem, const Mapping& seed)
-      : g_(g), patterns_(patterns), sem_(sem), seed_(seed), mu_(seed) {}
+  BgpMatcher(const Triples& triples,
+             const std::vector<const TriplePattern*>& patterns, Semantics sem,
+             const Mapping& seed)
+      : triples_(triples),
+        patterns_(patterns),
+        sem_(sem),
+        seed_(seed),
+        mu_(seed) {}
 
   std::vector<Mapping> Run() {
     Extend(0);
@@ -224,19 +243,19 @@ class BgpMatcher {
       ExtendPath(i);
       return;
     }
-    // Graph::Match takes bound positions by the graph's identity rule;
-    // Bind then applies the oracle's.
-    g_.Match(Resolve(tp.s), Resolve(tp.p), Resolve(tp.o),
-             [&](const Triple& t) {
-               std::vector<std::string> bound_here;
-               if (Bind(tp.s, t.s, &bound_here) &&
-                   Bind(tp.p, t.p, &bound_here) &&
-                   Bind(tp.o, t.o, &bound_here)) {
-                 Extend(i + 1);
-               }
-               for (const std::string& v : bound_here) mu_.erase(v);
-               return true;
-             });
+    // The candidates are a superset; Bind applies the oracle's identity.
+    triples_.Candidates(Resolve(tp.s), Resolve(tp.p), Resolve(tp.o),
+                        [&](const Triple& t) {
+                          std::vector<std::string> bound_here;
+                          if (Bind(tp.s, t.s, &bound_here) &&
+                              Bind(tp.p, t.p, &bound_here) &&
+                              Bind(tp.o, t.o, &bound_here)) {
+                            Extend(i + 1);
+                          }
+                          for (const std::string& v : bound_here) {
+                            mu_.erase(v);
+                          }
+                        });
   }
 
   /// A path pattern: its pairs over the graph's nodes, filtered by the
@@ -246,7 +265,7 @@ class BgpMatcher {
   /// to it.
   void ExtendPath(size_t i) {
     const TriplePattern& tp = *patterns_[i];
-    if (!nodes_.has_value()) nodes_ = BuildNodeGraph(g_);
+    if (!nodes_.has_value()) nodes_ = BuildNodeGraph(triples_, sem_);
     auto cached = pairs_.find(i);
     if (cached == pairs_.end()) {
       cached = pairs_.emplace(i, PathPairs(*tp.path, *nodes_)).first;
@@ -298,7 +317,7 @@ class BgpMatcher {
     }
   }
 
-  const Graph& g_;
+  const Triples& triples_;
   const std::vector<const TriplePattern*>& patterns_;
   Semantics sem_;
   const Mapping& seed_;
@@ -409,7 +428,8 @@ void CollectVars(const GraphPattern& gp, std::vector<std::string>* out) {
 
 class Evaluator {
  public:
-  Evaluator(const Graph& g, Semantics sem) : g_(g), sem_(sem) {}
+  Evaluator(const Triples& triples, Semantics sem)
+      : triples_(triples), sem_(sem) {}
 
   /// The mappings of a group extending `seed` (the empty mapping unless
   /// operational evaluation passes one in), with its FILTERs applied.
@@ -511,7 +531,8 @@ class Evaluator {
         }
         SCISPARQL_ASSIGN_OR_RETURN(
             *omega, JoinWith(*omega, [&](const Mapping& m) {
-              return Result<std::vector<Mapping>>(MatchBgp(g_, bgp, sem_, m));
+              return Result<std::vector<Mapping>>(
+                  MatchBgp(triples_, bgp, sem_, m));
             }));
         continue;
       }
@@ -594,22 +615,57 @@ class Evaluator {
     return Status::OK();
   }
 
-  const Graph& g_;
+  const Triples& triples_;
   Semantics sem_;
 };
 
 }  // namespace
 
-std::vector<Mapping> MatchBgp(
-    const Graph& g, const std::vector<const ast::TriplePattern*>& patterns,
-    Semantics sem, const Mapping& seed) {
-  return BgpMatcher(g, patterns, sem, seed).Run();
+std::string IntegerText(const Term& t) {
+  if (t.kind() == Term::Kind::kInteger) return std::to_string(t.integer());
+  if (t.kind() != Term::Kind::kDouble) return "";
+  const double d = t.dbl();
+  if (!std::isfinite(d) || d != std::trunc(d)) return "";
+  char buf[400];
+  std::snprintf(buf, sizeof(buf), "%.0f", d == 0 ? 0.0 : d);
+  return buf;
 }
 
-Result<Answer> Evaluate(const Graph& g, const ast::SelectQuery& q,
+bool SameValue(const Term& a, const Term& b) {
+  if (a.IsNumeric() && b.IsNumeric()) {
+    if (a.kind() == Term::Kind::kDouble && b.kind() == Term::Kind::kDouble) {
+      return a.dbl() == b.dbl() || (std::isnan(a.dbl()) && std::isnan(b.dbl()));
+    }
+    const std::string x = IntegerText(a);
+    return !x.empty() && x == IntegerText(b);
+  }
+  return a == b;
+}
+
+void Triples::Candidates(const Term& s, const Term& p, const Term& o,
+                         const std::function<void(const Triple&)>& fn) const {
+  if (list_ != nullptr) {
+    for (const Triple& t : *list_) fn(t);
+    return;
+  }
+  auto key = [](const Term& t) { return t.IsIri() ? t : Term(); };
+  graph_->Match(key(s), key(p), key(o), [&fn](const Triple& t) {
+    fn(t);
+    return true;
+  });
+}
+
+std::vector<Mapping> MatchBgp(
+    const Triples& triples,
+    const std::vector<const ast::TriplePattern*>& patterns, Semantics sem,
+    const Mapping& seed) {
+  return BgpMatcher(triples, patterns, sem, seed).Run();
+}
+
+Result<Answer> Evaluate(const Triples& triples, const ast::SelectQuery& q,
                         Semantics sem) {
   SCISPARQL_RETURN_NOT_OK(CheckQuery(q));
-  Evaluator ev(g, sem);
+  Evaluator ev(triples, sem);
   SCISPARQL_ASSIGN_OR_RETURN(std::vector<Mapping> solutions,
                              ev.Group(q.where, Mapping()));
   Answer answer;

@@ -1,17 +1,18 @@
 // Property test: the executor's BGP evaluation (with cost-based join
-// ordering and sideways information passing) must agree with the oracle's
-// scan-and-bind (tests/oracle/) on randomized graphs and patterns, with the
-// optimizer both on and off. The oracle reads a graph built from an
-// independent set-semantics model of the mutations. A second sweep mixes
-// numeric forms (integers next to integral doubles, signed zeros, values
-// around 2^53), query constants of the other numeric kind, array objects,
-// and a pending delta next to the folded one. A third sweep checks
-// property paths against the oracle's fixed points over the same identity
-// rule.
+// ordering and sideways information passing) must agree with a brute-force
+// reference on randomized graphs and patterns, with the optimizer both on
+// and off. The reference is the oracle (tests/oracle/) reading a plain
+// list of triples, built by an independent set-semantics model of the
+// mutations, so it tries every triple for every pattern and matches by
+// its own exact-value identity rule, not the engine's. A second sweep
+// mixes numeric forms (integers next to integral doubles, signed zeros,
+// values around 2^53), query constants of the other numeric kind, array
+// objects, and a pending delta next to the folded one. A third sweep
+// checks property paths against the oracle's fixed points over the same
+// list.
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <random>
 #include <set>
 #include <utility>
@@ -90,7 +91,7 @@ RandomCase MakeMixedCase(uint64_t seed) {
   }
   for (int i = 0; i < 6; ++i) {
     Triple t = rc.ops[rng() % triples].t;
-    if (t.o.IsNumeric() && Term::Identical(OtherKind(t.o), t.o)) {
+    if (t.o.IsNumeric() && oracle::SameValue(OtherKind(t.o), t.o)) {
       t.o = OtherKind(t.o);
     } else if (t.o.IsArray()) {
       t.o = Term::Array(ResidentArray::Make(*t.o.array()->Materialize()));
@@ -124,37 +125,12 @@ RandomCase MakeMixedCase(uint64_t seed) {
   return rc;
 }
 
-/// Exact decimal rendering of a numeric's value when it is an integer
-/// (printf prints integral doubles exactly), else "" for non-integers.
-std::string IntegerText(const Term& t) {
-  if (t.kind() == Term::Kind::kInteger) return std::to_string(t.integer());
-  const double d = t.dbl();
-  if (!std::isfinite(d) || d != std::trunc(d)) return "";
-  char buf[400];
-  std::snprintf(buf, sizeof(buf), "%.0f", d == 0 ? 0.0 : d);
-  return buf;
-}
-
-/// Triple-component identity, written out independently of the engine:
-/// numerics by exact mathematical value (never widening an integer to
-/// double), everything else (arrays by elements) by operator==.
-bool SameTerm(const Term& a, const Term& b) {
-  if (a.IsNumeric() && b.IsNumeric()) {
-    if (a.kind() == Term::Kind::kDouble && b.kind() == Term::Kind::kDouble) {
-      return a.dbl() == b.dbl() || (std::isnan(a.dbl()) && std::isnan(b.dbl()));
-    }
-    const std::string x = IntegerText(a);
-    return !x.empty() && x == IntegerText(b);
-  }
-  return a == b;
-}
-
 /// A row cell rendered so that identical terms render alike whatever
 /// numeric form the engine returns.
 std::string CellKey(const Term& t) {
   if (t.IsUndef()) return "UNDEF";
   if (t.IsNumeric()) {
-    const std::string i = IntegerText(t);
+    const std::string i = oracle::IntegerText(t);
     if (!i.empty()) return i;
   }
   return t.ToString();
@@ -165,7 +141,8 @@ std::string CellKey(const Term& t) {
 /// again, and a removal takes every copy.
 std::vector<Triple> Content(const RandomCase& rc) {
   auto same = [](const Triple& a, const Triple& b) {
-    return SameTerm(a.s, b.s) && SameTerm(a.p, b.p) && SameTerm(a.o, b.o);
+    return oracle::SameValue(a.s, b.s) && oracle::SameValue(a.p, b.p) &&
+           oracle::SameValue(a.o, b.o);
   };
   std::vector<Triple> out;
   for (const WriteBatch::Op& op : rc.ops) {
@@ -179,23 +156,15 @@ std::vector<Triple> Content(const RandomCase& rc) {
   return out;
 }
 
-/// A base-mode graph holding exactly `triples`.
-Graph ReferenceGraph(const std::vector<Triple>& triples) {
-  Graph g;
-  WriteBatch b;
-  for (const Triple& t : triples) b.Add(t);
-  g.Apply(std::move(b));
-  return g;
-}
-
-/// The oracle's scan-and-bind over the graph the case's ops leave behind:
-/// the distinct assignments of rc.vars, as CellKey rows.
+/// Brute force over the triples the case's ops leave behind: every
+/// combination of triples for the patterns, as the distinct assignments of
+/// rc.vars in CellKey rows.
 std::set<std::vector<std::string>> Reference(const RandomCase& rc) {
-  const Graph g = ReferenceGraph(Content(rc));
+  const std::vector<Triple> all = Content(rc);
   std::vector<const TriplePattern*> patterns;
   for (const TriplePattern& tp : rc.patterns) patterns.push_back(&tp);
   std::set<std::vector<std::string>> results;
-  for (const oracle::Mapping& m : oracle::MatchBgp(g, patterns)) {
+  for (const oracle::Mapping& m : oracle::MatchBgp(all, patterns)) {
     std::vector<std::string> row;
     for (const std::string& v : rc.vars) {
       auto it = m.find(v);
@@ -227,8 +196,8 @@ void ExpectMatches(SSDM& db, const RandomCase& rc,
     db.exec_options().optimize_join_order = optimize;
     auto r = Query(db, query);
     ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << query;
-    // The executor returns a multiset; brute force distinct assignments of
-    // triples can produce duplicate rows too. Compare as sets (DISTINCT
+    // The executor returns a multiset, and so does the brute force (one
+    // mapping per combination of triples). Compare as sets (DISTINCT
     // projections).
     std::set<std::vector<std::string>> got;
     for (const auto& row : r->rows) {
@@ -389,8 +358,8 @@ PathCase MakePathCase(uint64_t seed) {
 
 /// Runs `query` on the engine and on the oracle over `ref`, and compares
 /// their rows as sets of CellKey rows (or their ASK answers).
-void ExpectOracleRows(SSDM& db, const Graph& ref, const std::string& query,
-                      const std::string& state) {
+void ExpectOracleRows(SSDM& db, const std::vector<Triple>& ref,
+                      const std::string& query, const std::string& state) {
   auto parsed = sparql::ParseQuery(query, db.prefixes());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << query;
   auto want = oracle::Evaluate(ref, **parsed);
@@ -421,7 +390,7 @@ void ExpectOracleRows(SSDM& db, const Graph& ref, const std::string& query,
 void ExpectPathsMatch(SSDM& db, const PathCase& pc, const std::string& state) {
   RandomCase content;
   content.ops = pc.ops;
-  const Graph ref = ReferenceGraph(Content(content));
+  const std::vector<Triple> ref = Content(content);
   for (const PathCase::Query& q : pc.queries) {
     std::vector<std::string> vars;
     for (const VarOrTerm* e : {&q.s, &q.o}) {
