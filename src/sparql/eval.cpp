@@ -176,6 +176,11 @@ class Evaluator {
       case Expr::Kind::kTerm:
         return e.term;
       case Expr::Kind::kVar: {
+        if (ctx_.lookup_ref != nullptr) {
+          const Term* v = ctx_.lookup_ref(ctx_.lookup_env, e.var);
+          if (v == nullptr || v->IsUndef()) return Unbound(e.var);
+          return *v;
+        }
         Term v = ctx_.lookup ? ctx_.lookup(e.var) : Term();
         if (v.IsUndef()) return Unbound(e.var);
         return v;
@@ -390,6 +395,10 @@ class Evaluator {
     if (fn == "BOUND") {
       if (e.args.size() != 1 || e.args[0]->kind != Expr::Kind::kVar) {
         return Status::TypeError("BOUND expects a variable");
+      }
+      if (ctx_.lookup_ref != nullptr) {
+        const Term* v = ctx_.lookup_ref(ctx_.lookup_env, e.args[0]->var);
+        return Term::Boolean(v != nullptr && !v->IsUndef());
       }
       Term v = ctx_.lookup ? ctx_.lookup(e.args[0]->var) : Term();
       return Term::Boolean(!v.IsUndef());

@@ -30,6 +30,13 @@ struct EvalContext {
   /// Looks a variable up in the current solution; Undef when unbound.
   std::function<Term(const std::string&)> lookup;
 
+  /// Looks a variable up in place, through its slot in the executor's
+  /// current row: the bound value, or null when unbound. Used instead of
+  /// `lookup` when set; `lookup_env` is passed back to it.
+  const Term* (*lookup_ref)(const void* env, const std::string& name) =
+      nullptr;
+  const void* lookup_env = nullptr;
+
   /// Evaluates an EXISTS pattern against the current solution.
   std::function<Result<bool>(const ast::GraphPattern&)> eval_exists;
 

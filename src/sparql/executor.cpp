@@ -1,9 +1,10 @@
 #include "sparql/executor.h"
 
 #include <algorithm>
-#include <cassert>
-#include <charconv>
 #include <chrono>
+#include <deque>
+#include <list>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -12,7 +13,9 @@
 #include "loaders/turtle.h"
 #include "opt/planner.h"
 #include "sparql/id_join.h"
+#include "sparql/order_key.h"
 #include "sparql/path_eval.h"
+#include "sparql/slot_row.h"
 
 namespace scisparql {
 namespace sparql {
@@ -24,251 +27,6 @@ using ast::PatternElement;
 using ast::SelectQuery;
 using ast::TriplePattern;
 using ast::VarOrTerm;
-
-/// Current solution under construction. Vars absent from the map are
-/// unbound. std::map keeps copies cheapish and iteration deterministic.
-using Binding = std::map<std::string, Term>;
-
-/// Continuation invoked for every solution; returns false to stop the
-/// enumeration early (ASK, LIMIT, EXISTS).
-using Cont = std::function<Result<bool>()>;
-
-bool IsInternalVar(const std::string& name) {
-  return !name.empty() && name[0] == '.';
-}
-
-void CollectPatternVars(const GraphPattern& gp, std::vector<std::string>* out,
-                        std::set<std::string>* seen);
-
-/// Collects the user-visible variables one pattern element can bind. Also
-/// used to decide how far a group-scoped FILTER must be deferred.
-void CollectElementVars(const PatternElement& e, std::vector<std::string>* out,
-                        std::set<std::string>* seen) {
-  auto add = [&](const std::string& v) {
-    if (!IsInternalVar(v) && seen->insert(v).second) out->push_back(v);
-  };
-  auto add_vt = [&](const VarOrTerm& vt) {
-    if (vt.is_var) add(vt.var);
-  };
-  switch (e.kind) {
-    case PatternElement::Kind::kTriple:
-      add_vt(e.triple.s);
-      add_vt(e.triple.p);
-      add_vt(e.triple.o);
-      break;
-    case PatternElement::Kind::kBind:
-      add(e.bind_var);
-      break;
-    case PatternElement::Kind::kValues:
-      for (const std::string& v : e.values.vars) add(v);
-      break;
-    case PatternElement::Kind::kGraph:
-      add_vt(e.graph_name);
-      if (e.child) CollectPatternVars(*e.child, out, seen);
-      break;
-    case PatternElement::Kind::kUnion:
-      for (const auto& b : e.branches) CollectPatternVars(*b, out, seen);
-      break;
-    case PatternElement::Kind::kOptional:
-    case PatternElement::Kind::kGroup:
-      if (e.child) CollectPatternVars(*e.child, out, seen);
-      break;
-    case PatternElement::Kind::kSubSelect:
-      if (e.subquery != nullptr) {
-        for (const auto& p : e.subquery->projections) add(p.name);
-      }
-      break;
-    default:
-      break;
-  }
-}
-
-/// Collects user-visible variables of a pattern in first-appearance order.
-void CollectPatternVars(const GraphPattern& gp, std::vector<std::string>* out,
-                        std::set<std::string>* seen) {
-  for (const PatternElement& e : gp.elements) {
-    CollectElementVars(e, out, seen);
-  }
-}
-
-/// Variables mentioned by an expression.
-void CollectExprVars(const ast::Expr& e, std::set<std::string>* out) {
-  switch (e.kind) {
-    case ast::Expr::Kind::kVar:
-      out->insert(e.var);
-      break;
-    case ast::Expr::Kind::kBinary:
-      CollectExprVars(*e.left, out);
-      CollectExprVars(*e.right, out);
-      break;
-    case ast::Expr::Kind::kUnary:
-      CollectExprVars(*e.left, out);
-      break;
-    case ast::Expr::Kind::kCall:
-      for (const auto& a : e.args) CollectExprVars(*a, out);
-      break;
-    case ast::Expr::Kind::kAggregate:
-      if (e.agg_arg) CollectExprVars(*e.agg_arg, out);
-      break;
-    case ast::Expr::Kind::kSubscript:
-      CollectExprVars(*e.base, out);
-      for (const auto& s : e.subscripts) {
-        if (s.index) CollectExprVars(*s.index, out);
-        if (s.lo) CollectExprVars(*s.lo, out);
-        if (s.hi) CollectExprVars(*s.hi, out);
-        if (s.stride) CollectExprVars(*s.stride, out);
-      }
-      break;
-    case ast::Expr::Kind::kExists:
-      // EXISTS correlates on every variable its pattern mentions; a pushed
-      // filter must wait until those are bound (or proven never-bound).
-      if (e.exists_pattern) {
-        std::vector<std::string> vars;
-        std::set<std::string> seen;
-        CollectPatternVars(*e.exists_pattern, &vars, &seen);
-        out->insert(vars.begin(), vars.end());
-      }
-      break;
-    default:
-      break;
-  }
-}
-
-void CollectAggNodes(const ast::Expr& e,
-                     std::vector<const ast::Expr*>* out) {
-  if (e.kind == ast::Expr::Kind::kAggregate) {
-    out->push_back(&e);
-    return;  // aggregates do not nest
-  }
-  if (e.left) CollectAggNodes(*e.left, out);
-  if (e.right) CollectAggNodes(*e.right, out);
-  for (const auto& a : e.args) CollectAggNodes(*a, out);
-  if (e.base) CollectAggNodes(*e.base, out);
-}
-
-/// Locale-independent parse of an XSD numeric lexical form: optional
-/// sign, digits with at most one '.', optional exponent — the union of
-/// the xsd:integer / xsd:decimal / xsd:double lexical spaces (minus
-/// INF/NaN, which have no useful sort value). Deliberately rejects what
-/// strtod would additionally accept: leading whitespace, hex ("0x10"),
-/// "inf"/"nan", and locale decimal separators.
-std::optional<double> ParseXsdNumericLexical(const std::string& lex) {
-  const char* begin = lex.data();
-  const char* end = begin + lex.size();
-  const char* q = begin;
-  if (q != end && (*q == '+' || *q == '-')) ++q;
-  const char* int_start = q;
-  while (q != end && *q >= '0' && *q <= '9') ++q;
-  bool has_int_digits = q != int_start;
-  bool has_frac_digits = false;
-  if (q != end && *q == '.') {
-    ++q;
-    const char* frac_start = q;
-    while (q != end && *q >= '0' && *q <= '9') ++q;
-    has_frac_digits = q != frac_start;
-  }
-  if (!has_int_digits && !has_frac_digits) return std::nullopt;
-  if (q != end && (*q == 'e' || *q == 'E')) {
-    ++q;
-    if (q != end && (*q == '+' || *q == '-')) ++q;
-    const char* exp_start = q;
-    while (q != end && *q >= '0' && *q <= '9') ++q;
-    if (q == exp_start) return std::nullopt;
-  }
-  if (q != end) return std::nullopt;
-  // from_chars does not accept a leading '+'; the validation above makes
-  // any other partial consumption (e.g. the trailing '.' of "5.")
-  // value-preserving.
-  const char* from = *begin == '+' ? begin + 1 : begin;
-  double v = 0;
-  auto [ptr, ec] = std::from_chars(from, end, v);
-  (void)ptr;
-  if (ec != std::errc()) return std::nullopt;  // out-of-range exponent etc.
-  return v;
-}
-
-/// Numeric sort key for ORDER BY: native numerics by value, plus typed
-/// literals with an XSD numeric datatype whose lexical form fully parses
-/// (Term::Compare alone would order e.g. xsd:decimal literals lexically
-/// against xsd:integer values). Returns nullopt for everything else.
-std::optional<double> NumericOrderKey(const Term& t) {
-  if (t.IsNumeric()) {
-    Result<double> v = t.AsDouble();
-    if (v.ok()) return *v;
-    return std::nullopt;
-  }
-  if (t.kind() != Term::Kind::kTypedLiteral) return std::nullopt;
-  static const char kXsd[] = "http://www.w3.org/2001/XMLSchema#";
-  const std::string& dt = t.datatype();
-  if (dt.compare(0, sizeof(kXsd) - 1, kXsd) != 0) return std::nullopt;
-  static const std::set<std::string> kNumericTypes = {
-      "integer",          "decimal",         "double",
-      "float",            "int",             "long",
-      "short",            "byte",            "nonNegativeInteger",
-      "nonPositiveInteger", "negativeInteger", "positiveInteger",
-      "unsignedLong",     "unsignedInt",     "unsignedShort",
-      "unsignedByte"};
-  if (kNumericTypes.count(dt.substr(sizeof(kXsd) - 1)) == 0) {
-    return std::nullopt;
-  }
-  const std::string& lex = t.lexical();
-  if (lex.empty()) return std::nullopt;
-  return ParseXsdNumericLexical(lex);
-}
-
-/// True for the literal kinds Term::Compare ranks together (between IRIs
-/// and arrays in the term order).
-bool IsLiteralBand(const Term& t) {
-  switch (t.kind()) {
-    case Term::Kind::kString:
-    case Term::Kind::kInteger:
-    case Term::Kind::kDouble:
-    case Term::Kind::kBoolean:
-    case Term::Kind::kTypedLiteral:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Sub-rank inside the literal band: plain strings, then the numeric
-/// group, then booleans, then typed literals without a numeric key. This
-/// mirrors Term::Compare's kind order except that numeric-keyed typed
-/// literals join the numeric group.
-int LiteralSubRank(const Term& t, bool has_numeric_key) {
-  if (has_numeric_key) return 1;
-  switch (t.kind()) {
-    case Term::Kind::kString:
-      return 0;
-    case Term::Kind::kBoolean:
-      return 2;
-    default:
-      return 3;
-  }
-}
-
-/// ORDER BY comparator: mixed numeric bindings (xsd:integer vs xsd:double
-/// vs numeric typed literals) compare by value; everything else falls back
-/// to the SPARQL term order. Literal-band terms are sub-ranked first so
-/// the result is a strict weak order — comparing a numeric-keyed typed
-/// literal by value against numerics but lexically against keyless typed
-/// literals (while those compare to numerics by kind) would cycle, which
-/// is undefined behavior under std::sort.
-int CompareOrderKeys(const Term& a, const Term& b) {
-  if (!IsLiteralBand(a) || !IsLiteralBand(b)) return Term::Compare(a, b);
-  std::optional<double> na = NumericOrderKey(a);
-  std::optional<double> nb = NumericOrderKey(b);
-  int sa = LiteralSubRank(a, na.has_value());
-  int sb = LiteralSubRank(b, nb.has_value());
-  if (sa != sb) return sa < sb ? -1 : 1;
-  if (na.has_value() && nb.has_value()) {
-    if (*na < *nb) return -1;
-    if (*nb < *na) return 1;
-  }
-  // Equal numeric values (or a keyless subclass): the term order is a
-  // deterministic tiebreak that keeps equal-value groups well-defined.
-  return Term::Compare(a, b);
-}
 
 /// Extracts sargable conjuncts (?v op numeric-constant) from a FILTER
 /// expression for the cardinality estimator. Walks through top-level ANDs;
@@ -352,18 +110,89 @@ std::string MemoSignature(const std::vector<opt::PatternDesc>& descs,
   return sig;
 }
 
-/// Lexicographic row comparator on Term::Compare, for DISTINCT/dedup sets.
-struct RowLess {
-  bool operator()(const std::vector<Term>& a,
-                  const std::vector<Term>& b) const {
-    size_t n = std::min(a.size(), b.size());
-    for (size_t i = 0; i < n; ++i) {
-      int c = Term::Compare(a[i], b[i]);
-      if (c != 0) return c < 0;
-    }
-    return a.size() < b.size();
-  }
+/// Continuation invoked for every solution; returns false to stop the
+/// enumeration early (ASK, LIMIT, EXISTS).
+using Cont = FnRef<Result<bool>()>;
+
+/// One graph as a query reads it. Pinned at the query's first touch of the
+/// graph, so every BGP, OPTIONAL arm and path of the query reads the one
+/// snapshot: the pin comes *before* any dictionary or delta read — writers
+/// intern a batch's terms and splice its delta cells before publishing its
+/// epoch, so every batch with epoch <= snapshot is fully resolvable, and
+/// every later batch is excluded by the epoch filter, even while writers
+/// keep committing mid-query.
+struct GraphCtx {
+  const Graph* graph = nullptr;
+  const TermDictionary* dict = nullptr;
+  uint64_t snapshot = 0;
+  DeltaIdRuns delta_runs;
+  const DeltaIdRuns* delta = nullptr;  // null when no delta is pending
+  const IdIndexes* idx = nullptr;
 };
+
+/// A BGP lowered to the ID space for one graph and one shape of the row it
+/// starts from (which of its variables are already bound, and to arrays):
+/// planned, its constants resolved and its paths built once, then run once
+/// per incoming row with only the outer-bound IDs refilled.
+struct Lowering {
+  enum : uint8_t { kFree, kBound, kBoundArray };
+  const GraphCtx* gc = nullptr;
+  std::vector<uint8_t> state;  // per Bgp::var_slots
+  bool busy = false;           // running: a nested run builds its own
+  bool empty = false;          // holds a constant no triple holds
+  std::vector<const TriplePattern*> order;
+  std::unique_ptr<IdJoin> join;
+  std::vector<std::unique_ptr<PathEvaluator>> paths;
+  /// An outer-bound position: the ID it reads from row slot `slot`.
+  struct Fill {
+    uint32_t* id;
+    int slot;
+    bool path_end;
+  };
+  std::vector<Fill> fills;
+  /// Per join column: the row slot it binds, or the array it must equal
+  /// (a constant, or the value in row slot `array_slot`).
+  struct Col {
+    int slot = -1;
+    const Term* array = nullptr;
+    int array_slot = -1;
+  };
+  std::vector<Col> cols;
+  std::vector<std::string> slot_names;  // per join slot; "" anonymous
+  /// Stand-ins for path ends no triple holds, numbered from dict_limit.
+  std::vector<const Term*> extras;
+  size_t fixed_extras = 0;  // the constants' share of `extras`
+  size_t dict_limit = 0;
+};
+
+/// A maximal run of triple patterns and the FILTERs pushed into it.
+struct Bgp {
+  std::vector<const TriplePattern*> patterns;  // textual order
+  std::vector<const ast::Expr*> filters;
+  std::vector<int> var_slots;  // its distinct variables' slots
+  std::vector<std::unique_ptr<Lowering>> lowerings;
+};
+
+/// One step of a compiled group: a BGP, or any other element.
+struct Step {
+  const PatternElement* elem = nullptr;
+  Bgp* bgp = nullptr;
+};
+
+/// An evaluated ORDER BY key. SPARQL's term order puts unbound lowest, but
+/// an *erroring* key expression is not the same thing as an unbound
+/// variable — conflating them makes `ORDER BY (1/?x)` interleave its
+/// failures with genuinely unbound rows. Errors carry their own flag and
+/// sort in a separate band.
+struct OrderKeyVal {
+  const Term* term = nullptr;  // null: unbound
+  bool error = false;
+};
+
+const Term& UndefTerm() {
+  static const Term* undef = new Term();
+  return *undef;
+}
 
 }  // namespace
 
@@ -380,31 +209,89 @@ class ExecImpl {
         options_(options),
         // A trace sink turns on the same per-scan profiling EXPLAIN uses,
         // so EXPLAIN ANALYZE and EXPLAIN report identical actual counts.
-        profile_(options.trace != nullptr) {}
-
-  struct State {
-    const Graph* graph;
-    Binding binding;
-  };
-
-  /// One evaluated ORDER BY key. SPARQL's term order puts unbound lowest,
-  /// but an *erroring* key expression is not the same thing as an unbound
-  /// variable — conflating them makes `ORDER BY (1/?x)` interleave its
-  /// failures with genuinely unbound rows. Errors carry their own flag and
-  /// sort in a separate band.
-  struct OrderKeyVal {
-    Term term;
-    bool error = false;
-  };
-
-  OrderKeyVal EvalOrderKey(const ast::Expr& e, State& st, EvalContext& ctx) {
-    if (e.kind == ast::Expr::Kind::kVar &&
-        st.binding.find(e.var) == st.binding.end()) {
-      return {};  // genuinely unbound: lowest band, not an error
+        profile_(options.trace != nullptr) {
+    if (options_.query != nullptr) {
+      interrupt_ = [this]() { return CheckInterrupt(); };
     }
-    Result<Term> v = EvalExpr(e, ctx);
-    if (!v.ok()) return {Term(), true};
-    return {*v, false};
+    // One expression context for the whole query; variables are read
+    // in place from the current row through its slot.
+    ctx_.registry = registry_;
+    ctx_.query = options_.query;
+    ctx_.eval_stats = profile_ ? &eval_counters_ : nullptr;
+    ctx_.lookup_env = this;
+    ctx_.lookup_ref = [](const void* env,
+                         const std::string& name) -> const Term* {
+      const ExecImpl* self = static_cast<const ExecImpl*>(env);
+      const int s = self->frame_->Find(name);
+      if (s < 0 || self->cur_row_ == nullptr) return nullptr;
+      const Cell& c = self->cur_row_[s];
+      return c.bound() ? &c.value() : nullptr;
+    };
+    ctx_.eval_exists = [this](const GraphPattern& gp) -> Result<bool> {
+      std::vector<Cell> sub(frame_->width());
+      if (cur_row_ != nullptr) std::copy_n(cur_row_, sub.size(), sub.begin());
+      bool found = false;
+      SCISPARQL_ASSIGN_OR_RETURN(bool ok,
+                                 EvalGroup(gp, sub.data(), [&found]() {
+                                   found = true;
+                                   return Result<bool>(false);  // enough
+                                 }));
+      (void)ok;
+      return found;
+    };
+    ctx_.call_defined = [this](const ast::FunctionDef& def,
+                               const std::vector<Term>& args) {
+      return CallDefined(def, args);
+    };
+  }
+
+  /// Evaluates `e` against `row` (which must be in the current frame).
+  Result<Term> Eval(const ast::Expr& e, Cell* row) {
+    Cell* saved = cur_row_;
+    cur_row_ = row;
+    Result<Term> v = EvalExpr(e, ctx_);
+    cur_row_ = saved;
+    return v;
+  }
+
+  /// A computed term owned by the query, for a cell to point at.
+  const Term* Keep(Term t) {
+    if (!arena_) arena_.emplace();
+    arena_->push_back(std::move(t));
+    return &arena_->back();
+  }
+  /// The arena's size and retained-row count, to release what a step kept
+  /// for rows that all died before anything stored them.
+  std::pair<size_t, uint64_t> Mark() const {
+    return {arena_ ? arena_->size() : 0, retained_};
+  }
+  void Release(std::pair<size_t, uint64_t> mark) {
+    if (arena_ && retained_ == mark.second) arena_->resize(mark.first);
+  }
+
+  OrderKeyVal EvalOrderKey(const ast::Expr& e, Cell* row) {
+    if (e.kind == ast::Expr::Kind::kVar) {
+      const int s = frame_->Find(e.var);
+      // Genuinely unbound: lowest band, not an error.
+      if (s < 0 || !row[s].bound()) return {};
+      return {&row[s].value(), false};
+    }
+    Result<Term> v = Eval(e, row);
+    if (!v.ok()) return {nullptr, true};
+    return {Keep(std::move(*v)), false};
+  }
+
+  /// Projects one expression: a variable's cell as it is, anything else
+  /// evaluated (a failing expression leaves the cell unbound, as an
+  /// OPTIONAL that did not match would).
+  Cell Project(const ast::Expr& e, Cell* row) {
+    if (e.kind == ast::Expr::Kind::kVar) {
+      const int s = frame_->Find(e.var);
+      return s < 0 ? Cell() : row[s];
+    }
+    Result<Term> v = Eval(e, row);
+    if (!v.ok() || v->IsUndef()) return Cell();
+    return Cell::Of(Keep(std::move(*v)));
   }
 
   /// Cooperative deadline/cancellation check for the hot loops. The flag
@@ -418,15 +305,18 @@ class ExecImpl {
 
   // --- Pattern evaluation. ---
 
-  /// Element order used for evaluation. SPARQL FILTERs scope over the
+  /// A group compiled once per query: its elements in evaluation order,
+  /// each maximal run of triple patterns (with the FILTERs directly
+  /// following it) gathered into one BGP. SPARQL FILTERs scope over the
   /// *whole* group, so a FILTER whose variables can still be bound by a
   /// later element (typically an OPTIONAL) is deferred to just after the
   /// last such element instead of being evaluated where it appears
   /// textually (where the unbound variable would make it an error and
-  /// reject every solution). Cached per pattern for the query's lifetime.
-  const std::vector<const PatternElement*>& GroupView(const GraphPattern& gp) {
-    auto cached = group_views_.find(&gp);
-    if (cached != group_views_.end()) return cached->second;
+  /// reject every solution).
+  const std::vector<Step>& Group(const GraphPattern& gp) {
+    for (const auto& [pattern, steps] : groups_) {
+      if (pattern == &gp) return *steps;
+    }
     const auto& elems = gp.elements;
     std::vector<int> defer_after(elems.size(), -1);
     for (size_t f = 0; f < elems.size(); ++f) {
@@ -458,105 +348,110 @@ class ExecImpl {
         if (defer_after[f] == static_cast<int>(i)) view.push_back(&elems[f]);
       }
     }
-    return group_views_.emplace(&gp, std::move(view)).first->second;
-  }
-
-  Result<bool> EvalGroup(const GraphPattern& gp, State& st, const Cont& k) {
-    return EvalSteps(GroupView(gp), 0, st, k);
-  }
-
-  Result<bool> EvalSteps(const std::vector<const PatternElement*>& elems,
-                         size_t i, State& st, const Cont& k) {
-    SCISPARQL_RETURN_NOT_OK(CheckInterrupt());
-    if (i >= elems.size()) return k();
-
-    // Gather a maximal run of triple patterns into one BGP, pulling in any
-    // directly following FILTERs so they can be pushed into the join.
-    if (elems[i]->kind == PatternElement::Kind::kTriple) {
-      std::vector<const TriplePattern*> bgp;
-      std::vector<const ast::Expr*> filters;
-      size_t j = i;
-      while (j < elems.size()) {
-        if (elems[j]->kind == PatternElement::Kind::kTriple) {
-          bgp.push_back(&elems[j]->triple);
-          ++j;
+    std::vector<Step> steps;
+    for (size_t i = 0; i < view.size();) {
+      if (view[i]->kind != PatternElement::Kind::kTriple) {
+        steps.push_back({view[i++], nullptr});
+        continue;
+      }
+      Bgp& b = *bgps_.emplace_back(std::make_unique<Bgp>());
+      for (; i < view.size(); ++i) {
+        if (view[i]->kind == PatternElement::Kind::kTriple) {
+          const TriplePattern& tp = view[i]->triple;
+          b.patterns.push_back(&tp);
+          for (const VarOrTerm* vt : {&tp.s, &tp.p, &tp.o}) {
+            if (vt == &tp.p && tp.path != nullptr) continue;
+            const int s = vt->is_var ? frame_->Find(vt->var) : -1;
+            if (s >= 0 && std::find(b.var_slots.begin(), b.var_slots.end(),
+                                    s) == b.var_slots.end()) {
+              b.var_slots.push_back(s);
+            }
+          }
         } else if (options_.push_filters &&
-                   elems[j]->kind == PatternElement::Kind::kFilter) {
-          filters.push_back(elems[j]->expr.get());
-          ++j;
+                   view[i]->kind == PatternElement::Kind::kFilter) {
+          b.filters.push_back(view[i]->expr.get());
         } else {
           break;
         }
       }
-      auto next = [this, &elems, j, &st, &k]() {
-        return EvalSteps(elems, j, st, k);
-      };
-      return EvalBgp(bgp, filters, st, next);
+      steps.push_back({view[0], &b});
     }
+    groups_.emplace_back(&gp,
+                         std::make_unique<std::vector<Step>>(std::move(steps)));
+    return *groups_.back().second;
+  }
 
-    const PatternElement& e = *elems[i];
-    auto next = [this, &elems, i, &st, &k]() {
-      return EvalSteps(elems, i + 1, st, k);
-    };
+  Result<bool> EvalGroup(const GraphPattern& gp, Cell* row, Cont k) {
+    return EvalSteps(Group(gp), 0, row, k);
+  }
 
+  Result<bool> EvalSteps(const std::vector<Step>& steps, size_t i, Cell* row,
+                         Cont k) {
+    SCISPARQL_RETURN_NOT_OK(CheckInterrupt());
+    if (i >= steps.size()) return k();
+    auto next = [&]() { return EvalSteps(steps, i + 1, row, k); };
+    if (steps[i].bgp != nullptr) return EvalBgp(*steps[i].bgp, row, next);
+
+    const PatternElement& e = *steps[i].elem;
     switch (e.kind) {
       case PatternElement::Kind::kFilter: {
-        SCISPARQL_ASSIGN_OR_RETURN(bool pass, EvalFilter(*e.expr, st));
+        SCISPARQL_ASSIGN_OR_RETURN(bool pass, EvalFilter(*e.expr, row));
         if (!pass) return true;
         return next();
       }
       case PatternElement::Kind::kBind:
-        return EvalBind(e, st, next);
+        return EvalBind(e, row, next);
       case PatternElement::Kind::kOptional:
-        return EvalOptional(e, st, next);
+        return EvalOptional(e, row, next);
       case PatternElement::Kind::kUnion: {
+        // Each branch extends the row in place and undoes what it bound,
+        // so a variable bound by one branch is unbound in the next.
         for (const auto& branch : e.branches) {
-          State sub{st.graph, st.binding};
-          SCISPARQL_ASSIGN_OR_RETURN(
-              bool more, EvalGroup(*branch, sub, [&]() -> Result<bool> {
-                // Continue the outer steps with the branch's bindings.
-                State merged{st.graph, sub.binding};
-                std::swap(st.binding, merged.binding);
-                auto restore = [&]() { std::swap(st.binding, merged.binding); };
-                auto r = EvalSteps(elems, i + 1, st, k);
-                restore();
-                return r;
-              }));
+          SCISPARQL_ASSIGN_OR_RETURN(bool more, EvalGroup(*branch, row, next));
           if (!more) return false;
         }
         return true;
       }
-      case PatternElement::Kind::kGroup: {
-        return EvalGroup(*e.child, st, next);
-      }
+      case PatternElement::Kind::kGroup:
+        return EvalGroup(*e.child, row, next);
       case PatternElement::Kind::kGraph:
-        return EvalGraph(e, st, next);
+        return EvalGraph(e, row, next);
       case PatternElement::Kind::kValues:
-        return EvalValues(e, st, next);
+        return EvalValues(e, row, next);
       case PatternElement::Kind::kMinus:
-        return EvalMinus(e, st, next);
+        return EvalMinus(e, row, next);
       case PatternElement::Kind::kSubSelect:
-        return EvalSubSelect(e, st, next);
+        return EvalSubSelect(e, row, next);
       default:
         return Status::Internal("unexpected pattern element");
     }
   }
 
-  Result<bool> EvalFilter(const ast::Expr& expr, State& st) {
-    EvalContext ctx = MakeCtx(st);
-    Result<Term> v = EvalExpr(expr, ctx);
+  Result<bool> EvalFilter(const ast::Expr& expr, Cell* row) {
+    Result<Term> v = Eval(expr, row);
     if (!v.ok()) return false;  // evaluation error = filter rejects
     Result<bool> b = EffectiveBooleanValue(*v);
     if (!b.ok()) return false;
     return *b;
   }
 
-  Result<bool> EvalBind(const PatternElement& e, State& st, const Cont& k) {
-    if (st.binding.count(e.bind_var) > 0) {
+  /// Binds `slot` to `t` for the continuation, then unbinds it and frees
+  /// the term unless a stored row points at it.
+  Result<bool> BindFor(Cell* row, int slot, Term t, Cont k) {
+    const auto mark = Mark();
+    row[slot] = Cell::Of(Keep(std::move(t)));
+    Result<bool> r = k();
+    row[slot] = Cell();
+    Release(mark);
+    return r;
+  }
+
+  Result<bool> EvalBind(const PatternElement& e, Cell* row, Cont k) {
+    const int slot = frame_->Find(e.bind_var);
+    if (row[slot].bound()) {
       return Status::InvalidArgument("BIND to already-bound variable ?" +
                                      e.bind_var);
     }
-    EvalContext ctx = MakeCtx(st);
 
     // Variables bound to array subscripts (Section 4.1.2): when the BIND
     // expression is an array dereference whose index positions contain
@@ -565,7 +460,7 @@ class ExecImpl {
     // (1-based) subscripts.
     if (e.expr->kind == ast::Expr::Kind::kSubscript) {
       SCISPARQL_ASSIGN_OR_RETURN(std::optional<bool> generated,
-                                 EvalSubscriptGenerator(e, st, ctx, k));
+                                 EvalSubscriptGenerator(e, slot, row, k));
       if (generated.has_value()) return *generated;
     }
 
@@ -577,29 +472,22 @@ class ExecImpl {
       if (def != nullptr) {
         std::vector<Term> args;
         for (const auto& a : e.expr->args) {
-          SCISPARQL_ASSIGN_OR_RETURN(Term t, EvalExpr(*a, ctx));
+          SCISPARQL_ASSIGN_OR_RETURN(Term t, Eval(*a, row));
           args.push_back(std::move(t));
         }
         SCISPARQL_ASSIGN_OR_RETURN(std::vector<Term> bag,
                                    CallDefined(*def, args));
         for (Term& value : bag) {
-          st.binding[e.bind_var] = std::move(value);
-          Result<bool> r = k();
-          st.binding.erase(e.bind_var);
-          if (!r.ok()) return r;
-          if (!*r) return false;
+          SCISPARQL_ASSIGN_OR_RETURN(bool more,
+                                     BindFor(row, slot, std::move(value), k));
+          if (!more) return false;
         }
         return true;
       }
     }
 
-    Result<Term> v = EvalExpr(*e.expr, ctx);
-    if (v.ok() && !v->IsUndef()) {
-      st.binding[e.bind_var] = std::move(*v);
-      Result<bool> r = k();
-      st.binding.erase(e.bind_var);
-      return r;
-    }
+    Result<Term> v = Eval(*e.expr, row);
+    if (v.ok() && !v->IsUndef()) return BindFor(row, slot, std::move(*v), k);
     // Error: the variable stays unbound, the solution survives.
     return k();
   }
@@ -608,68 +496,52 @@ class ExecImpl {
   /// the expression is an ordinary dereference (no unbound index vars) and
   /// the generic path should handle it; otherwise the continue/stop flag.
   Result<std::optional<bool>> EvalSubscriptGenerator(const PatternElement& e,
-                                                     State& st,
-                                                     EvalContext& ctx,
-                                                     const Cont& k) {
+                                                     int slot, Cell* row,
+                                                     Cont k) {
     const ast::Expr& deref = *e.expr;
     // The base array must be computable already.
-    Result<Term> base = EvalExpr(*deref.base, ctx);
+    Result<Term> base = Eval(*deref.base, row);
     if (!base.ok() || !base->IsArray()) return std::optional<bool>();
     const auto& arr = base->array();
     const std::vector<int64_t>& shape = arr->shape();
     if (deref.subscripts.size() != shape.size()) return std::optional<bool>();
 
-    // Classify each dimension: enumerated (unbound index variable) or
-    // fixed (anything else, evaluated by the normal rules).
-    struct Dim {
-      bool enumerated = false;
-      std::string var;
-    };
-    std::vector<Dim> dims(shape.size());
-    bool any_enumerated = false;
+    // The enumerated dimensions (unbound index variables) and their
+    // slots; every other dimension is evaluated by the normal rules.
+    std::vector<std::pair<size_t, int>> enum_dims;
     for (size_t d = 0; d < deref.subscripts.size(); ++d) {
       const ast::SubscriptExpr& s = deref.subscripts[d];
       if (!s.is_range && s.index != nullptr &&
           s.index->kind == ast::Expr::Kind::kVar &&
-          st.binding.count(s.index->var) == 0 &&
           !IsInternalVar(s.index->var)) {
-        dims[d].enumerated = true;
-        dims[d].var = s.index->var;
-        any_enumerated = true;
+        const int v = frame_->Find(s.index->var);
+        if (!row[v].bound()) enum_dims.emplace_back(d, v);
       }
     }
-    if (!any_enumerated) return std::optional<bool>();
+    if (enum_dims.empty()) return std::optional<bool>();
 
     // Iterate the Cartesian product of the enumerated dimensions; for each
     // combination bind the index variables (1-based) and evaluate the
     // dereference through the ordinary evaluator (so fixed dims, ranges
     // and bounds checks behave identically).
-    std::vector<size_t> enum_dims;
-    for (size_t d = 0; d < dims.size(); ++d) {
-      if (dims[d].enumerated) enum_dims.push_back(d);
-    }
     std::vector<int64_t> idx(enum_dims.size(), 1);
     bool more = true;
     while (more) {
+      const auto mark = Mark();
       for (size_t p = 0; p < enum_dims.size(); ++p) {
-        st.binding[dims[enum_dims[p]].var] = Term::Integer(idx[p]);
+        row[enum_dims[p].second] = Cell::Of(Keep(Term::Integer(idx[p])));
       }
-      Result<Term> v = EvalExpr(deref, ctx);
+      Result<Term> v = Eval(deref, row);
       Result<bool> r = true;
-      if (v.ok() && !v->IsUndef()) {
-        st.binding[e.bind_var] = std::move(*v);
-        r = k();
-        st.binding.erase(e.bind_var);
-      }
-      for (size_t p = 0; p < enum_dims.size(); ++p) {
-        st.binding.erase(dims[enum_dims[p]].var);
-      }
+      if (v.ok() && !v->IsUndef()) r = BindFor(row, slot, std::move(*v), k);
+      for (const auto& [d, v_slot] : enum_dims) row[v_slot] = Cell();
+      Release(mark);
       if (!r.ok()) return r.status();
       if (!*r) return std::optional<bool>(false);
       // Advance the multi-index (1-based, bounded by the shape).
       size_t p = 0;
       while (p < enum_dims.size() &&
-             ++idx[p] > shape[enum_dims[p]]) {
+             ++idx[p] > shape[enum_dims[p].first]) {
         idx[p] = 1;
         ++p;
       }
@@ -678,170 +550,175 @@ class ExecImpl {
     return std::optional<bool>(true);
   }
 
-  Result<bool> EvalOptional(const PatternElement& e, State& st,
-                            const Cont& k) {
+  /// OPTIONAL, operationally (thesis 5.4.2): the arm runs once per outer
+  /// row, seeded with it. A one-pattern arm is one lowered probe per row.
+  Result<bool> EvalOptional(const PatternElement& e, Cell* row, Cont k) {
     bool any = false;
-    SCISPARQL_ASSIGN_OR_RETURN(
-        bool more, EvalGroup(*e.child, st, [&]() -> Result<bool> {
-          any = true;
-          return k();
-        }));
+    SCISPARQL_ASSIGN_OR_RETURN(bool more,
+                               EvalGroup(*e.child, row, [&]() {
+                                 any = true;
+                                 return k();
+                               }));
     if (!more) return false;
     if (!any) return k();
     return true;
   }
 
-  Result<bool> EvalGraph(const PatternElement& e, State& st, const Cont& k) {
+  /// Runs `child` over `g`; the continuation, which evaluates the rest of
+  /// the enclosing group, reads the enclosing graph again.
+  Result<bool> WithGraph(const Graph* g, const GraphPattern& child, Cell* row,
+                         Cont k) {
+    const Graph* saved = cur_graph_;
+    cur_graph_ = g;
+    Result<bool> r = EvalGroup(child, row, [&]() {
+      cur_graph_ = saved;
+      Result<bool> more = k();
+      cur_graph_ = g;
+      return more;
+    });
+    cur_graph_ = saved;
+    return r;
+  }
+
+  Result<bool> EvalGraph(const PatternElement& e, Cell* row, Cont k) {
     const GraphPattern& child = *e.child;
     if (!e.graph_name.is_var) {
       const Graph* g = dataset_->FindNamed(e.graph_name.term.iri());
       if (g == nullptr) return true;  // no such graph: no solutions
-      const Graph* saved = st.graph;
-      st.graph = g;
-      Result<bool> r = EvalGroup(child, st, k);
-      st.graph = saved;
-      return r;
+      return WithGraph(g, child, row, k);
     }
-    const std::string& var = e.graph_name.var;
-    auto it = st.binding.find(var);
-    if (it != st.binding.end()) {
-      if (!it->second.IsIri()) return true;
-      const Graph* g = dataset_->FindNamed(it->second.iri());
+    const int slot = frame_->Find(e.graph_name.var);
+    if (row[slot].bound()) {
+      const Term& name = row[slot].value();
+      if (!name.IsIri()) return true;
+      const Graph* g = dataset_->FindNamed(name.iri());
       if (g == nullptr) return true;
-      const Graph* saved = st.graph;
-      st.graph = g;
-      Result<bool> r = EvalGroup(child, st, k);
-      st.graph = saved;
-      return r;
+      return WithGraph(g, child, row, k);
     }
     for (const auto& [iri, g] : dataset_->named_graphs()) {
-      st.binding[var] = Term::Iri(iri);
-      const Graph* saved = st.graph;
-      st.graph = &g;
-      Result<bool> r = EvalGroup(child, st, k);
-      st.graph = saved;
-      st.binding.erase(var);
+      const Term& name =
+          graph_names_.try_emplace(iri, Term::Iri(iri)).first->second;
+      row[slot] = Cell::Of(&name);
+      Result<bool> r = WithGraph(&g, child, row, k);
+      row[slot] = Cell();
       if (!r.ok()) return r;
       if (!*r) return false;
     }
     return true;
   }
 
-  Result<bool> EvalValues(const PatternElement& e, State& st, const Cont& k) {
-    for (const auto& row : e.values.rows) {
-      std::vector<std::string> bound_here;
+  /// Joins the row with each of `rows` (terms under `slots`, Undef
+  /// unbound) compatible with it by SPARQL `=`, binding what it adds — how
+  /// VALUES and sub-select results join the group.
+  Result<bool> JoinTerms(const std::vector<int>& slots,
+                         const std::vector<std::vector<Term>>& rows, Cell* row,
+                         Cont k) {
+    for (const auto& r : rows) {
+      size_t set = 0;
       bool compatible = true;
-      for (size_t c = 0; c < e.values.vars.size(); ++c) {
-        const Term& v = row[c];
-        if (v.IsUndef()) continue;
-        auto it = st.binding.find(e.values.vars[c]);
-        if (it != st.binding.end()) {
-          if (!(it->second == v)) {
-            compatible = false;
-            break;
-          }
+      for (size_t c = 0; c < slots.size() && c < r.size() && compatible; ++c) {
+        if (r[c].IsUndef()) continue;
+        Cell& cell = row[slots[c]];
+        if (cell.bound()) {
+          compatible = cell.value() == r[c];
         } else {
-          st.binding[e.values.vars[c]] = v;
-          bound_here.push_back(e.values.vars[c]);
+          cell = Cell::Of(&r[c]);
+          bound_here_.push_back(slots[c]);
+          ++set;
         }
       }
-      Result<bool> r = compatible ? k() : Result<bool>(true);
-      for (const std::string& v : bound_here) st.binding.erase(v);
-      if (!r.ok()) return r;
-      if (!*r) return false;
+      Result<bool> more = compatible ? k() : Result<bool>(true);
+      for (; set > 0; --set) {
+        row[bound_here_.back()] = Cell();
+        bound_here_.pop_back();
+      }
+      if (!more.ok()) return more;
+      if (!*more) return false;
     }
     return true;
   }
 
-  Result<bool> EvalMinus(const PatternElement& e, State& st, const Cont& k) {
+  std::vector<int> SlotsOf(const std::vector<std::string>& names) const {
+    std::vector<int> out;
+    for (const std::string& n : names) out.push_back(frame_->Find(n));
+    return out;
+  }
+
+  Result<bool> EvalValues(const PatternElement& e, Cell* row, Cont k) {
+    return JoinTerms(SlotsOf(e.values.vars), e.values.rows, row, k);
+  }
+
+  Result<bool> EvalMinus(const PatternElement& e, Cell* row, Cont k) {
     // MINUS: drop the current solution when some solution of the child
     // pattern is compatible with it and shares at least one variable.
     auto cache_it = minus_cache_.find(e.child.get());
     if (cache_it == minus_cache_.end()) {
-      std::vector<Binding> solutions;
-      State sub{st.graph, Binding()};
+      Rows solutions;
+      solutions.width = frame_->width();
+      std::vector<Cell> sub(solutions.width);
       SCISPARQL_ASSIGN_OR_RETURN(bool ok,
-                                 EvalGroup(*e.child, sub, [&]() -> Result<bool> {
-                                   solutions.push_back(sub.binding);
-                                   return true;
+                                 EvalGroup(*e.child, sub.data(), [&]() {
+                                   solutions.Push(sub.data());
+                                   ++retained_;
+                                   return Result<bool>(true);
                                  }));
       (void)ok;
-      cache_it = minus_cache_.emplace(e.child.get(), std::move(solutions)).first;
+      cache_it =
+          minus_cache_.emplace(e.child.get(), std::move(solutions)).first;
     }
-    for (const Binding& other : cache_it->second) {
+    Rows& other = cache_it->second;
+    for (size_t m = 0; m < other.size(); ++m) {
+      const Cell* o = other.row(m);
       bool shares = false;
       bool compatible = true;
-      for (const auto& [var, value] : other) {
-        auto it = st.binding.find(var);
-        if (it == st.binding.end()) continue;
+      for (size_t s = 0; s < other.width && compatible; ++s) {
+        if (!o[s].bound() || !row[s].bound()) continue;
         shares = true;
-        if (!(it->second == value)) {
-          compatible = false;
-          break;
-        }
+        compatible = CellsEqual(row[s], o[s]);
       }
       if (shares && compatible) return true;  // dropped
     }
     return k();
   }
 
-  Result<bool> EvalSubSelect(const PatternElement& e, State& st,
-                             const Cont& k) {
+  Result<bool> EvalSubSelect(const PatternElement& e, Cell* row, Cont k) {
     // SPARQL subqueries evaluate bottom-up: the inner SELECT runs once
     // (against the dataset's default graph), then its projected rows join
     // with the outer solution on shared variable names.
     auto it = subselect_cache_.find(e.subquery.get());
     if (it == subselect_cache_.end()) {
-      SCISPARQL_ASSIGN_OR_RETURN(QueryResult rows,
-                                 Select(*e.subquery, Binding()));
+      SCISPARQL_ASSIGN_OR_RETURN(QueryResult rows, Select(*e.subquery));
       it = subselect_cache_.emplace(e.subquery.get(), std::move(rows)).first;
     }
-    const QueryResult& rows = it->second;
-    for (const auto& row : rows.rows) {
-      std::vector<std::string> bound_here;
-      bool compatible = true;
-      for (size_t c = 0; c < rows.columns.size() && c < row.size(); ++c) {
-        if (row[c].IsUndef()) continue;
-        auto found = st.binding.find(rows.columns[c]);
-        if (found != st.binding.end()) {
-          if (!(found->second == row[c])) {
-            compatible = false;
-            break;
-          }
-        } else {
-          st.binding[rows.columns[c]] = row[c];
-          bound_here.push_back(rows.columns[c]);
-        }
-      }
-      Result<bool> r = compatible ? k() : Result<bool>(true);
-      for (const std::string& v : bound_here) st.binding.erase(v);
-      if (!r.ok()) return r;
-      if (!*r) return false;
-    }
-    return true;
+    return JoinTerms(SlotsOf(it->second.columns), it->second.rows, row, k);
   }
 
   // --- BGP evaluation with cost-based ordering (Section 5.4). ---
 
+  /// The value `vt` holds in `row` (null when `row` is null or it is an
+  /// unbound variable).
+  const Term* ValueIn(const VarOrTerm& vt, const Cell* row) const {
+    if (!vt.is_var) return &vt.term;
+    const int s = frame_->Find(vt.var);
+    if (row == nullptr || s < 0 || !row[s].bound()) return nullptr;
+    return &row[s].value();
+  }
+
   /// Abstracts a triple pattern for the cost model: variables already bound
-  /// in the current solution are resolved to constants, the rest stay
-  /// symbolic so the estimator can discount them as join variables. An
-  /// array (constant or bound) stays symbolic and anonymous: the ID join
-  /// reads it as an unbound slot checked by value, over the whole range.
-  opt::PatternDesc MakeDesc(const TriplePattern& tp, const State& st) const {
+  /// in `row` are resolved to constants, the rest stay symbolic so the
+  /// estimator can discount them as join variables. An array (constant or
+  /// bound) stays symbolic and anonymous: the ID join reads it as an
+  /// unbound slot checked by value, over the whole range.
+  opt::PatternDesc MakeDesc(const TriplePattern& tp, const Cell* row) const {
     opt::PatternDesc d;
     auto fill = [&](const VarOrTerm& vt, std::optional<Term>* c,
                     std::string* var) {
-      const Term* value = &vt.term;
-      if (vt.is_var) {
-        auto it = st.binding.find(vt.var);
-        if (it == st.binding.end()) {
-          *var = vt.var;
-          return;
-        }
-        value = &it->second;
+      const Term* value = ValueIn(vt, row);
+      if (value == nullptr) {
+        *var = vt.var;
+      } else if (!value->IsArray()) {
+        *c = *value;
       }
-      if (!value->IsArray()) *c = *value;
     };
     fill(tp.s, &d.s, &d.s_var);
     if (tp.path != nullptr) {
@@ -861,13 +738,14 @@ class ExecImpl {
     bool reordered = false;
   };
 
-  /// Orders `bgp` for execution; `estimate` asks for the per-step
+  /// Orders `bgp` for execution over `graph`, with the values `row` binds
+  /// (may be null: nothing bound); `estimate` asks for the per-step
   /// estimates too (EXPLAIN and traces). A one-pattern BGP has nothing to
-  /// order and skips the planner and its memo — OPTIONAL, UNION and
-  /// FILTER-!bound arms are such BGPs and come here once per outer row.
+  /// order and skips the planner and its memo.
   OrderedBgp OrderBgp(const std::vector<const TriplePattern*>& bgp,
                       const std::vector<const ast::Expr*>& filters,
-                      const State& st, bool estimate) const {
+                      const Graph* graph, const Cell* row,
+                      bool estimate) const {
     OrderedBgp out;
     if (bgp.size() == 1 && !estimate) {
       out.patterns = bgp;
@@ -875,12 +753,12 @@ class ExecImpl {
     }
     std::vector<opt::PatternDesc> descs;
     descs.reserve(bgp.size());
-    for (const TriplePattern* tp : bgp) descs.push_back(MakeDesc(*tp, st));
+    for (const TriplePattern* tp : bgp) descs.push_back(MakeDesc(*tp, row));
     std::vector<opt::FilterHint> hints;
     for (const ast::Expr* f : filters) ExtractFilterHints(*f, &hints);
     const opt::GraphStats* stats =
-        options_.stats == nullptr ? nullptr : options_.stats->Find(st.graph);
-    opt::CardinalityEstimator estimator(st.graph, stats);
+        options_.stats == nullptr ? nullptr : options_.stats->Find(graph);
+    opt::CardinalityEstimator estimator(graph, stats);
 
     if (!options_.optimize_join_order || bgp.size() == 1) {
       // Textual order; still estimate each step so EXPLAIN has numbers.
@@ -900,13 +778,12 @@ class ExecImpl {
     // Plan memo: the same resolved-pattern signature planned against the
     // same graph version reuses the prior join order; on version drift the
     // memo entry is dropped and the enumeration runs again.
-    const bool memoizable =
-        options_.plan_memo != nullptr && st.graph != nullptr;
+    const bool memoizable = options_.plan_memo != nullptr && graph != nullptr;
     const std::string memo_sig =
         memoizable ? MemoSignature(descs, hints) : std::string();
     if (memoizable) {
       cache::PlanMemo::Entry hit;
-      if (options_.plan_memo->Lookup(memo_sig, st.graph, st.graph->version(),
+      if (options_.plan_memo->Lookup(memo_sig, graph, graph->version(),
                                      &hit) &&
           hit.order.size() == bgp.size()) {
         for (size_t i = 0; i < hit.order.size(); ++i) {
@@ -931,188 +808,216 @@ class ExecImpl {
       }
       e.est = out.est;
       e.reordered = out.reordered;
-      e.graph = st.graph;
-      e.graph_version = st.graph->version();
+      e.graph = graph;
+      e.graph_version = graph->version();
       options_.plan_memo->Insert(memo_sig, std::move(e));
     }
     return out;
   }
 
-  Result<bool> EvalBgp(const std::vector<const TriplePattern*>& bgp,
-                       const std::vector<const ast::Expr*>& filters,
-                       State& st, const Cont& k) {
+  /// The graph as this query reads it, pinned at first touch.
+  const GraphCtx& Pin(const Graph* g) {
+    for (const auto& gc : graph_ctxs_) {
+      if (gc->graph == g) return *gc;
+    }
+    GraphCtx& gc = *graph_ctxs_.emplace_back(std::make_unique<GraphCtx>());
+    gc.graph = g;
+    gc.dict = &g->dict();
+    gc.snapshot = g->SnapshotEpoch();
+    g->SnapshotDeltaIds(gc.snapshot, &gc.delta_runs);
+    gc.delta = gc.delta_runs.empty() ? nullptr : &gc.delta_runs;
+    // A batch committing after the pin cannot leak post-snapshot rows into
+    // a join: the base table and its permutations are immutable under the
+    // shared lock (folds and base-mode writes require exclusivity, so the
+    // epoch can only grow by delta commits), and every delta op carries
+    // its batch's epoch, which the run resolution filtered.
+    gc.idx = &g->EnsureIdIndexes();
+    return gc;
+  }
+
+  /// How `row` starts `b`'s variables: free, bound, or bound to an array.
+  uint8_t StateOf(const Cell& c) const {
+    if (!c.bound()) return Lowering::kFree;
+    return c.value().IsArray() ? Lowering::kBoundArray : Lowering::kBound;
+  }
+
+  Result<bool> EvalBgp(Bgp& b, Cell* row, Cont k) {
+    const GraphCtx& gc = Pin(cur_graph_);
+    for (const auto& l : b.lowerings) {
+      if (l->gc != &gc || l->busy) continue;
+      bool same = true;
+      for (size_t v = 0; v < b.var_slots.size() && same; ++v) {
+        same = l->state[v] == StateOf(row[b.var_slots[v]]);
+      }
+      if (same) return RunLowered(b, *l, row, k);
+    }
+    return RunLowered(b, Lower(b, gc, row), row, k);
+  }
+
+  /// Lowers `b` for rows shaped like `row`: orders the patterns, resolves
+  /// the constants through the dictionary and gives the variables `row`
+  /// leaves free dense join slots. The dictionary interns by
+  /// Term::Identical, so a resolved ID stands for exactly the triples the
+  /// constant matches. Arrays are the exception — they intern by object
+  /// identity — so an array constant (or outer-bound array) becomes an
+  /// anonymous slot whose bound term is checked by value after the join.
+  Lowering& Lower(Bgp& b, const GraphCtx& gc, const Cell* row) {
+    Lowering& l = *b.lowerings.emplace_back(std::make_unique<Lowering>());
+    l.gc = &gc;
+    for (int s : b.var_slots) l.state.push_back(StateOf(row[s]));
     std::chrono::steady_clock::time_point opt_start;
     if (profile_) opt_start = std::chrono::steady_clock::now();
-    OrderedBgp ordered = OrderBgp(bgp, filters, st, profile_);
+    OrderedBgp ordered =
+        OrderBgp(b.patterns, b.filters, gc.graph, row, profile_);
     if (profile_) {
       optimize_nanos_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
                              std::chrono::steady_clock::now() - opt_start)
                              .count();
-    }
-    if (profile_ && !bgp.empty()) {
       // Remember the first plan chosen for this (textual) BGP so EXPLAIN
       // can render estimated vs. actual cardinalities side by side.
-      plan_records_.emplace(bgp[0],
+      plan_records_.emplace(b.patterns[0],
                             PlanRecord{ordered.patterns, ordered.est,
-                                       ordered.reordered});
+                                       ordered.reordered, {}});
     }
-    return EvalBgpIds(ordered.patterns, bgp, filters, st, k);
-  }
+    l.order = std::move(ordered.patterns);
 
-  /// Evaluates the ordered patterns as one ID join over the graph's
-  /// dictionary-ID permutation indexes (ExecuteIdJoin), merging any
-  /// pending delta at a snapshot epoch captured on entry. `bgp` keys the
-  /// plan record that takes the EXPLAIN operator labels (empty: none).
-  Result<bool> EvalBgpIds(const std::vector<const TriplePattern*>& patterns,
-                          const std::vector<const TriplePattern*>& bgp,
-                          const std::vector<const ast::Expr*>& filters,
-                          State& st, const Cont& k) {
-    const Graph& g = *st.graph;
-    const TermDictionary& dict = g.dict();
-
-    // Pin the read snapshot *before* touching the dictionary or the
-    // delta: writers intern a batch's terms and splice its delta cells
-    // under the delta mutex before publishing its epoch, so every batch
-    // with epoch <= snapshot is fully resolvable below, and every later
-    // batch is excluded by the epoch filter — exactly MatchAt(snapshot)
-    // semantics, even while writers keep committing mid-query.
-    const uint64_t snapshot = g.SnapshotEpoch();
-    DeltaIdRuns delta_runs;
-    g.SnapshotDeltaIds(snapshot, &delta_runs);
-    const DeltaIdRuns* delta = delta_runs.empty() ? nullptr : &delta_runs;
-    std::function<Status()> interrupt;
-    if (options_.query != nullptr) {
-      interrupt = [this]() { return CheckInterrupt(); };
-    }
-
-    // Lower the patterns to the ID space: constants and already-bound
-    // variables resolve through the dictionary, unbound variables get
-    // dense output slots. The dictionary interns by Term::Identical, so a
-    // resolved ID stands for exactly the triples the constant matches.
-    // Arrays are the exception — they intern by object identity — so an
-    // array constant (or outer-bound array value) becomes an anonymous
-    // slot whose bound term is checked by value after the join.
-    std::vector<std::string> slot_vars;  // "": anonymous slot
-    std::vector<std::pair<int, const Term*>> residual;  // slot, array
-    // Returns the term when it is absent from the dictionary.
-    auto lower = [&](const VarOrTerm& vt, IdSlot* s) -> const Term* {
-      const Term* value = &vt.term;
-      if (vt.is_var) {
-        auto bound = st.binding.find(vt.var);
-        if (bound == st.binding.end()) {
-          auto it = std::find(slot_vars.begin(), slot_vars.end(), vt.var);
-          s->is_var = true;
-          s->slot = static_cast<int>(it - slot_vars.begin());
-          if (it == slot_vars.end()) slot_vars.push_back(vt.var);
-          return nullptr;
-        }
-        value = &bound->second;
-      }
-      if (value->IsArray()) {
-        s->is_var = true;
-        s->slot = static_cast<int>(slot_vars.size());
-        slot_vars.emplace_back();
-        residual.emplace_back(s->slot, value);
-        return nullptr;
-      }
-      std::optional<uint32_t> id = dict.Find(*value);
-      if (!id.has_value()) return value;
-      s->const_id = *id;
-      return nullptr;
+    // Join slot per free variable (or anonymous array slot), the row slot
+    // it binds (-1: none) and the array it must equal.
+    std::vector<Lowering::Col> slot_cols;
+    struct At {
+      size_t pat;
+      int pos;  // 0 = s, 1 = p, 2 = o
     };
-    // A constant absent from the dictionary occurs in no triple — delta
-    // triples included, since Apply interns them before publishing their
-    // epoch and our snapshot was captured before these Finds ran — so a
-    // triple pattern holding one has no solutions. A path end holding one
-    // still connects to itself by a zero-length path: it gets a stand-in
-    // ID past the dictionary.
-    std::vector<IdPattern> pats(patterns.size());
-    std::vector<std::unique_ptr<PathEvaluator>> paths;
-    std::vector<std::pair<uint32_t*, const Term*>> missing_ends;
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      const TriplePattern& tp = *patterns[i];
-      IdPattern& p = pats[i];
-      const Term* miss_s = lower(tp.s, &p.s);
-      const Term* miss_o = lower(tp.o, &p.o);
-      if (tp.path == nullptr) {
-        if (miss_s != nullptr || miss_o != nullptr ||
-            lower(tp.p, &p.p) != nullptr) {
-          return Result<bool>(true);
+    std::vector<std::pair<At, int>> fills;             // position, row slot
+    std::vector<std::pair<At, const Term*>> missing;   // path ends
+    std::vector<IdPattern> pats(l.order.size());
+    auto anonymous = [&](IdSlot* s, const Term* array, int array_slot) {
+      s->is_var = true;
+      s->slot = static_cast<int>(l.slot_names.size());
+      l.slot_names.emplace_back();
+      slot_cols.push_back({-1, array, array_slot});
+    };
+    for (size_t i = 0; i < l.order.size(); ++i) {
+      const TriplePattern& tp = *l.order[i];
+      IdSlot* pos[3] = {&pats[i].s, &pats[i].p, &pats[i].o};
+      const VarOrTerm* vts[3] = {&tp.s, &tp.p, &tp.o};
+      for (int c = 0; c < 3; ++c) {
+        if (c == 1 && tp.path != nullptr) continue;
+        const VarOrTerm& vt = *vts[c];
+        IdSlot* s = pos[c];
+        const int rs = vt.is_var ? frame_->Find(vt.var) : -1;
+        if (vt.is_var && !row[rs].bound()) {
+          auto it = std::find(l.slot_names.begin(), l.slot_names.end(), vt.var);
+          s->is_var = true;
+          s->slot = static_cast<int>(it - l.slot_names.begin());
+          if (it == l.slot_names.end()) {
+            l.slot_names.push_back(vt.var);
+            slot_cols.push_back({rs, nullptr, -1});
+          }
+        } else if (vt.is_var) {
+          if (row[rs].value().IsArray()) {
+            anonymous(s, nullptr, rs);
+          } else {
+            fills.push_back({{i, c}, rs});
+          }
+        } else if (vt.term.IsArray()) {
+          anonymous(s, &vt.term, -1);
+        } else if (std::optional<uint32_t> id = gc.dict->Find(vt.term)) {
+          s->const_id = *id;
+        } else if (tp.path != nullptr) {
+          // A path end no triple holds still connects to itself by a
+          // zero-length path: it gets a stand-in ID past the dictionary.
+          missing.push_back({{i, c}, &vt.term});
+        } else {
+          // A constant absent from the dictionary occurs in no triple at
+          // the snapshot, so the pattern has no solutions.
+          l.empty = true;
         }
-        continue;
       }
-      paths.push_back(std::make_unique<PathEvaluator>(
-          *tp.path, g, snapshot, delta, options_.max_path_visits, interrupt,
-          &path_scratch_));
-      p.path = paths.back().get();
-      if (miss_s != nullptr) missing_ends.emplace_back(&p.s.const_id, miss_s);
-      if (miss_o != nullptr) missing_ends.emplace_back(&p.o.const_id, miss_o);
+      if (tp.path != nullptr) {
+        l.paths.push_back(std::make_unique<PathEvaluator>(
+            *tp.path, *gc.graph, gc.snapshot, gc.delta,
+            options_.max_path_visits, interrupt_, &path_scratch_));
+        pats[i].path = l.paths.back().get();
+      }
     }
     // Read after the Finds and the evaluators' construction, so every ID
     // they hold lies below it; the stand-ins are numbered from it.
-    const size_t dict_limit = dict.size();
-    std::vector<const Term*> extras;
-    for (const auto& [id, term] : missing_ends) {
-      size_t x = 0;
-      while (x < extras.size() && !Term::Identical(*extras[x], *term)) ++x;
-      if (x == extras.size()) extras.push_back(term);
-      *id = static_cast<uint32_t>(dict_limit + x);
+    l.dict_limit = gc.dict->size();
+    l.join = std::make_unique<IdJoin>(std::move(pats));
+    auto id_at = [&](const At& a) {
+      IdPattern& p = l.join->patterns()[a.pat];
+      return &(a.pos == 0 ? p.s : a.pos == 1 ? p.p : p.o).const_id;
+    };
+    for (const auto& [at, term] : missing) *id_at(at) = StandIn(l, term);
+    l.fixed_extras = l.extras.size();
+    for (const auto& [at, slot] : fills) {
+      l.fills.push_back({id_at(at), slot, l.order[at.pat]->path != nullptr});
     }
+    for (int js : l.join->slots()) l.cols.push_back(slot_cols[js]);
+    return l;
+  }
 
-    const IdIndexes& idx = g.EnsureIdIndexes();
-    // A batch committing between the snapshot capture above and this
-    // point cannot leak post-snapshot rows into the join: the base table
-    // and its permutations are immutable under the shared lock (folds and
-    // base-mode writes require exclusivity, so the epoch can only have
-    // grown by delta commits), and every delta op carries its batch's
-    // epoch, which the run resolution filtered against `snapshot`.
-    assert(g.SnapshotEpoch() >= snapshot);
+  /// The stand-in ID of a term no triple holds, for a path end.
+  uint32_t StandIn(Lowering& l, const Term* term) {
+    size_t x = 0;
+    while (x < l.extras.size() && !Term::Identical(*l.extras[x], *term)) ++x;
+    if (x == l.extras.size()) l.extras.push_back(term);
+    return static_cast<uint32_t>(l.dict_limit + x);
+  }
 
-    // The sink binds each finished row's slot variables through
-    // pre-inserted map cells (Binding is node-based, so the iterators
-    // survive whatever the continuation does to other keys), checks the
-    // array residuals, then applies every pushed filter to the finished
-    // row; EvalFilter maps evaluation errors to rejection. The join fixes
-    // its row layout before the first row, so the cells are set up then.
-    IdJoinResult res;
-    // Per column: the binding cell it sets, or the array it must equal.
-    std::vector<std::pair<Binding::iterator, const Term*>> cells;
+  /// Runs a lowered BGP from `row`: refills the outer-bound IDs (an ID
+  /// bound in this graph feeds the probe as it is; a computed term, or an
+  /// ID of another graph's dictionary, is looked up by value), then binds
+  /// each joined row's slots in place, checks the array residuals and the
+  /// pushed filters, and continues. The slots it bound are unbound after.
+  Result<bool> RunLowered(const Bgp& b, Lowering& l, Cell* row, Cont k) {
+    if (l.empty) return true;
+    const TermDictionary* dict = l.gc->dict;
+    for (const Lowering::Fill& f : l.fills) {
+      const Cell& c = row[f.slot];
+      // An ID interned after the lowering read dict_limit names a term no
+      // triple held at the pinned snapshot: a miss.
+      std::optional<uint32_t> id;
+      if (c.dict == dict) {
+        id = c.id;
+      } else {
+        id = dict->Find(c.value());
+        if (id.has_value() && *id >= l.dict_limit) id.reset();
+      }
+      if (id.has_value()) {
+        *f.id = *id;
+      } else if (f.path_end) {
+        *f.id = StandIn(l, &c.value());
+      } else {
+        l.extras.resize(l.fixed_extras);
+        return true;
+      }
+    }
+    const size_t limit = l.dict_limit;
     bool keep_going = true;
     Status inner = Status::OK();
-    auto sink = [&](const uint32_t* row) -> bool {
-      const size_t stride = res.slots.size();
-      if (cells.size() != stride) {
-        cells.resize(stride);
-        for (size_t c = 0; c < stride; ++c) {
-          const int slot = res.slots[c];
-          for (const auto& [r, array] : residual) {
-            if (r == slot) cells[c].second = array;
-          }
-          if (cells[c].second == nullptr) {
-            cells[c].first =
-                st.binding.emplace(slot_vars[static_cast<size_t>(slot)],
-                                   Term())
-                    .first;
-          }
-        }
-      }
+    auto sink = [&](const uint32_t* ids) -> bool {
       Status alive = CheckInterrupt();
       if (!alive.ok()) {
         inner = alive;
         return false;
       }
       bool pass = true;
-      for (size_t c = 0; c < stride && pass; ++c) {
-        const Term& t = row[c] < dict_limit ? dict.term(row[c])
-                                            : *extras[row[c] - dict_limit];
-        if (cells[c].second != nullptr) {
-          pass = t == *cells[c].second;
+      for (size_t c = 0; c < l.cols.size() && pass; ++c) {
+        const Lowering::Col& col = l.cols[c];
+        const uint32_t id = ids[c];
+        if (col.slot >= 0) {
+          row[col.slot] = id < limit ? Cell::Id(dict, id)
+                                     : Cell::Of(l.extras[id - limit]);
         } else {
-          cells[c].first->second = t;
+          const Term& t = id < limit ? dict->term(id) : *l.extras[id - limit];
+          pass = t == (col.array != nullptr ? *col.array
+                                            : row[col.array_slot].value());
         }
       }
-      for (size_t f = 0; f < filters.size() && pass; ++f) {
-        Result<bool> pb = EvalFilter(*filters[f], st);
+      for (size_t f = 0; f < b.filters.size() && pass; ++f) {
+        Result<bool> pb = EvalFilter(*b.filters[f], row);
         if (!pb.ok()) {
           inner = pb.status();
           return false;
@@ -1128,15 +1033,18 @@ class ExecImpl {
       keep_going = *kr;
       return keep_going;
     };
+    l.busy = true;
     // std::ref spares each run (an OPTIONAL arm's, once per outer row) the
     // std::function's allocation.
-    Status js = ExecuteIdJoin(idx, delta, pats, kIdJoinMaxRows, interrupt,
-                              std::ref(sink), &res);
-    for (const auto& [cell, array] : cells) {
-      if (array == nullptr) st.binding.erase(cell);
+    Status js = l.join->Run(*l.gc->idx, l.gc->delta, kIdJoinMaxRows,
+                            interrupt_, std::ref(sink));
+    l.busy = false;
+    for (const Lowering::Col& col : l.cols) {
+      if (col.slot >= 0) row[col.slot] = Cell();
     }
+    l.extras.resize(l.fixed_extras);
     if (!js.ok()) return Result<bool>(js);
-    if (profile_) RecordIdJoinProfile(patterns, bgp, slot_vars, res);
+    if (profile_) RecordIdJoinProfile(l, b.patterns);
     if (!inner.ok()) return Result<bool>(inner);
     return Result<bool>(keep_going);
   }
@@ -1144,18 +1052,16 @@ class ExecImpl {
   /// Folds an ID-join run into the EXPLAIN / trace profile: per-pattern
   /// scan and output cardinalities, plus the physical-operator labels on
   /// the BGP's plan record (first run wins, matching plan capture).
-  void RecordIdJoinProfile(const std::vector<const TriplePattern*>& patterns,
-                           const std::vector<const TriplePattern*>& bgp,
-                           const std::vector<std::string>& slot_vars,
-                           const IdJoinResult& res) {
-    for (size_t i = 0; i < res.steps.size(); ++i) {
-      scan_input_[patterns[i]] += static_cast<int64_t>(res.steps[i].scan_rows);
-      scan_actual_[patterns[i]] += static_cast<int64_t>(res.steps[i].out_rows);
+  void RecordIdJoinProfile(const Lowering& l,
+                           const std::vector<const TriplePattern*>& bgp) {
+    const std::vector<IdJoinStep>& steps = l.join->steps();
+    for (size_t i = 0; i < steps.size(); ++i) {
+      scan_input_[l.order[i]] += static_cast<int64_t>(steps[i].scan_rows);
+      scan_actual_[l.order[i]] += static_cast<int64_t>(steps[i].out_rows);
     }
-    if (bgp.empty()) return;
     auto it = plan_records_.find(bgp[0]);
     if (it == plan_records_.end() || !it->second.phys.empty()) return;
-    for (const IdJoinStep& s : res.steps) {
+    for (const IdJoinStep& s : steps) {
       std::string label =
           s.op == opt::PhysicalOp::kPath ? "" : PermName(s.perm);
       // Mark scans that merged a pending delta run, so EXPLAIN under
@@ -1164,7 +1070,7 @@ class ExecImpl {
       if (s.delta) label += "+delta";
       for (size_t x = 0; x < s.on.size(); ++x) {
         label += (x > 0 ? ", ?" : label.empty() ? "on ?" : " on ?") +
-                 slot_vars[static_cast<size_t>(s.on[x])];
+                 l.slot_names[static_cast<size_t>(s.on[x])];
       }
       if (s.op == opt::PhysicalOp::kHashJoin) {
         label += s.build_left ? ", build=left" : ", build=scan";
@@ -1174,43 +1080,61 @@ class ExecImpl {
     }
   }
 
-  // --- Expression context. ---
-
-  EvalContext MakeCtx(State& st) {
-    EvalContext ctx;
-    ctx.registry = registry_;
-    ctx.query = options_.query;
-    ctx.eval_stats = profile_ ? &eval_counters_ : nullptr;
-    ctx.lookup = [&st](const std::string& name) -> Term {
-      auto it = st.binding.find(name);
-      return it == st.binding.end() ? Term() : it->second;
-    };
-    ctx.eval_exists = [this, &st](const GraphPattern& gp) -> Result<bool> {
-      bool found = false;
-      State sub{st.graph, st.binding};
-      SCISPARQL_ASSIGN_OR_RETURN(bool ok,
-                                 EvalGroup(gp, sub, [&found]() -> Result<bool> {
-                                   found = true;
-                                   return false;  // stop at first
-                                 }));
-      (void)ok;
-      return found;
-    };
-    ctx.call_defined = [this](const ast::FunctionDef& def,
-                              const std::vector<Term>& args) {
-      return CallDefined(def, args);
-    };
-    return ctx;
-  }
-
   // --- Query forms. ---
 
-  Result<std::vector<Binding>> CollectSolutions(const SelectQuery& q,
-                                                Binding initial) {
-    const Graph* graph = &dataset_->default_graph();
+  /// Makes `q`'s frame current (built on first use) for the lifetime of
+  /// the scope, with the default graph as the current graph.
+  class FrameScope {
+   public:
+    FrameScope(ExecImpl* impl, const SelectQuery& q,
+               const std::vector<std::string>* params = nullptr)
+        : impl_(impl),
+          frame_(impl->frame_),
+          row_(impl->cur_row_),
+          graph_(impl->cur_graph_) {
+      std::unique_ptr<Frame>* found = nullptr;
+      for (auto& [query, frame] : impl->frames_) {
+        if (query == &q) found = &frame;
+      }
+      if (found == nullptr) {
+        found = &impl->frames_.emplace_back(&q, std::make_unique<Frame>())
+                     .second;
+        Frame* f = found->get();
+        if (params != nullptr) {
+          for (const std::string& p : *params) f->Add(p);
+        }
+        f->AddPattern(q.where);
+        for (const auto& p : q.projections) {
+          f->Add(p.name);
+          f->AddExpr(*p.expr);
+        }
+        for (const auto& g : q.group_by) f->AddExpr(*g);
+        for (const auto& h : q.having) f->AddExpr(*h);
+        for (const auto& o : q.order_by) f->AddExpr(*o.expr);
+      }
+      impl->frame_ = found->get();
+      impl->cur_row_ = nullptr;
+      impl->cur_graph_ = &impl->dataset_->default_graph();
+    }
+    ~FrameScope() {
+      impl_->frame_ = frame_;
+      impl_->cur_row_ = row_;
+      impl_->cur_graph_ = graph_;
+    }
+
+   private:
+    ExecImpl* impl_;
+    const Frame* frame_;
+    Cell* row_;
+    const Graph* graph_;
+  };
+
+  /// Every solution of `q`'s WHERE in the current frame, from `initial`.
+  Result<Rows> CollectSolutions(const SelectQuery& q,
+                                std::vector<Cell> initial) {
     // FROM <g>: query the merge of the named graphs instead of the default,
     // built as one batch (set semantics drop a triple two graphs share).
-    Graph merged;
+    // The merge lives as long as the query: its rows hold its IDs.
     if (!q.from.empty()) {
       WriteBatch batch;
       for (const std::string& iri : q.from) {
@@ -1219,17 +1143,21 @@ class ExecImpl {
           g->ForEach([&batch](const Triple& t) { batch.Add(t); });
         }
       }
+      Graph& merged = from_graphs_.emplace_back();
       merged.Apply(std::move(batch));
-      graph = &merged;
+      cur_graph_ = &merged;
     }
-    State st{graph, std::move(initial)};
-    std::vector<Binding> out;
-    SCISPARQL_ASSIGN_OR_RETURN(bool ok,
-                               EvalGroup(q.where, st, [&]() -> Result<bool> {
-                                 out.push_back(st.binding);
-                                 return true;
+    Rows out;
+    out.width = frame_->width();
+    initial.resize(out.width);
+    Cell* row = initial.data();
+    SCISPARQL_ASSIGN_OR_RETURN(bool ok, EvalGroup(q.where, row, [&]() {
+                                 out.Push(row);
+                                 ++retained_;
+                                 return Result<bool>(true);
                                }));
     (void)ok;
+    cur_graph_ = &dataset_->default_graph();
     return out;
   }
 
@@ -1256,24 +1184,33 @@ class ExecImpl {
     return !aggs.empty();
   }
 
-  Result<Term> EvalAggregate(const ast::Expr& agg,
-                             const std::vector<Binding>& rows,
-                             const Graph* graph) {
-    std::vector<Term> values;
-    std::set<std::vector<Term>, RowLess> distinct;
-    for (const Binding& row : rows) {
+  Result<Term> EvalAggregate(const ast::Expr& agg, Rows& sols,
+                             const uint32_t* members, size_t n) {
+    static const Term* kOne = new Term(Term::Integer(1));
+    std::vector<const Term*> values;
+    std::list<Term> computed;
+    auto less = [](const Term* a, const Term* b) {
+      return Term::Compare(*a, *b) < 0;
+    };
+    std::set<const Term*, decltype(less)> distinct(less);
+    const int var = agg.agg_arg != nullptr &&
+                            agg.agg_arg->kind == ast::Expr::Kind::kVar
+                        ? frame_->Find(agg.agg_arg->var)
+                        : -1;
+    for (size_t m = 0; m < n; ++m) {
       SCISPARQL_RETURN_NOT_OK(CheckInterrupt());
-      if (agg.agg_arg == nullptr) {
-        // COUNT(*).
-        values.push_back(Term::Integer(1));
-        continue;
+      Cell* row = sols.row(members[m]);
+      const Term* v = kOne;  // COUNT(*)
+      if (var >= 0) {
+        if (!row[var].bound()) continue;
+        v = &row[var].value();
+      } else if (agg.agg_arg != nullptr) {
+        Result<Term> r = Eval(*agg.agg_arg, row);
+        if (!r.ok() || r->IsUndef()) continue;  // errors are skipped
+        v = &computed.emplace_back(std::move(*r));
       }
-      State st{graph, row};
-      EvalContext ctx = MakeCtx(st);
-      Result<Term> v = EvalExpr(*agg.agg_arg, ctx);
-      if (!v.ok() || v->IsUndef()) continue;  // errors are skipped
-      if (agg.agg_distinct && !distinct.insert({*v}).second) continue;
-      values.push_back(std::move(*v));
+      if (agg.agg_distinct && !distinct.insert(v).second) continue;
+      values.push_back(v);
     }
     switch (agg.agg) {
       case ast::AggFunc::kCount:
@@ -1282,9 +1219,9 @@ class ExecImpl {
       case ast::AggFunc::kAvg: {
         double sum = 0;
         bool all_int = true;
-        for (const Term& v : values) {
-          SCISPARQL_ASSIGN_OR_RETURN(double d, v.AsDouble());
-          if (v.kind() != Term::Kind::kInteger) all_int = false;
+        for (const Term* v : values) {
+          SCISPARQL_ASSIGN_OR_RETURN(double d, v->AsDouble());
+          if (v->kind() != Term::Kind::kInteger) all_int = false;
           sum += d;
         }
         if (agg.agg == ast::AggFunc::kSum) {
@@ -1299,216 +1236,252 @@ class ExecImpl {
         if (values.empty()) {
           return Status::TypeError("MIN/MAX of empty group");
         }
-        Term best = values[0];
+        const Term* best = values[0];
         for (size_t i = 1; i < values.size(); ++i) {
-          int c = Term::Compare(values[i], best);
+          int c = Term::Compare(*values[i], *best);
           if ((agg.agg == ast::AggFunc::kMin && c < 0) ||
               (agg.agg == ast::AggFunc::kMax && c > 0)) {
             best = values[i];
           }
         }
-        return best;
+        return *best;
       }
       case ast::AggFunc::kGroupConcat: {
         std::string out;
         for (size_t i = 0; i < values.size(); ++i) {
           if (i > 0) out += agg.agg_sep;
-          if (values[i].kind() == Term::Kind::kString) {
-            out += values[i].lexical();
+          if (values[i]->kind() == Term::Kind::kString) {
+            out += values[i]->lexical();
           } else {
-            out += values[i].ToString();
+            out += values[i]->ToString();
           }
         }
         return Term::String(std::move(out));
       }
       case ast::AggFunc::kSample:
         if (values.empty()) return Status::TypeError("SAMPLE of empty group");
-        return values[0];
+        return *values[0];
     }
     return Status::Internal("unknown aggregate");
   }
 
-  Result<QueryResult> Select(const SelectQuery& q, Binding initial) {
-    SCISPARQL_ASSIGN_OR_RETURN(std::vector<Binding> solutions,
+  /// Runs a SELECT: solutions stay slot rows through grouping, ORDER BY,
+  /// DISTINCT and the slice; only the surviving cells become terms.
+  Result<QueryResult> Select(const SelectQuery& q,
+                             const std::vector<std::string>* params = nullptr,
+                             const std::vector<Term>* args = nullptr) {
+    FrameScope scope(this, q, params);
+    std::vector<Cell> initial(frame_->width());
+    for (size_t i = 0; params != nullptr && i < params->size(); ++i) {
+      initial[static_cast<size_t>(frame_->Find((*params)[i]))] =
+          Cell::Of(&(*args)[i]);
+    }
+    SCISPARQL_ASSIGN_OR_RETURN(Rows solutions,
                                CollectSolutions(q, std::move(initial)));
     std::vector<SelectQuery::Projection> projs = EffectiveProjections(q);
-    const Graph* graph = &dataset_->default_graph();
 
     QueryResult result;
     for (const auto& p : projs) result.columns.push_back(p.name);
 
-    struct OutRow {
-      std::vector<Term> cells;
-      std::vector<OrderKeyVal> order_keys;
+    // Output rows, flat: projected cells and ORDER BY keys.
+    const size_t n_cols = projs.size();
+    const size_t n_keys = q.order_by.size();
+    std::vector<Cell> cells;
+    std::vector<OrderKeyVal> keys;
+    size_t n_rows = 0;
+    auto emit = [&](Cell* row) {
+      for (const auto& p : projs) cells.push_back(Project(*p.expr, row));
+      for (const auto& o : q.order_by) {
+        keys.push_back(EvalOrderKey(*o.expr, row));
+      }
+      ++n_rows;
     };
-    std::vector<OutRow> rows;
 
     if (HasAggregates(q, projs)) {
-      // Group solutions.
-      std::map<std::vector<Term>, std::vector<Binding>, RowLess> groups;
-      for (const Binding& sol : solutions) {
-        std::vector<Term> key;
-        State st{graph, sol};
-        EvalContext ctx = MakeCtx(st);
-        for (const auto& ge : q.group_by) {
-          Result<Term> v = EvalExpr(*ge, ctx);
-          key.push_back(v.ok() ? *v : Term());
-        }
-        groups[key].push_back(sol);
-      }
-      if (groups.empty() && q.group_by.empty()) {
-        groups[{}] = {};  // single empty group: COUNT(*) = 0 etc.
-      }
-      // Aggregate nodes used anywhere in the output.
-      std::vector<const ast::Expr*> agg_nodes;
-      for (const auto& p : projs) CollectAggNodes(*p.expr, &agg_nodes);
-      for (const auto& h : q.having) CollectAggNodes(*h, &agg_nodes);
-      for (const auto& o : q.order_by) CollectAggNodes(*o.expr, &agg_nodes);
-
-      for (const auto& [key, members] : groups) {
-        std::map<const ast::Expr*, Term> agg_values;
-        bool agg_error = false;
-        for (const ast::Expr* node : agg_nodes) {
-          Result<Term> v = EvalAggregate(*node, members, graph);
-          if (v.ok()) {
-            agg_values[node] = *v;
-          } else {
-            agg_error = true;  // leaves the aggregate undefined
-          }
-        }
-        (void)agg_error;
-        // Representative binding: first member, or group-key bindings.
-        Binding rep = members.empty() ? Binding() : members.front();
-        State st{graph, rep};
-        EvalContext ctx = MakeCtx(st);
-        ctx.agg_values = &agg_values;
-        // HAVING.
-        bool keep = true;
-        for (const auto& h : q.having) {
-          Result<Term> v = EvalExpr(*h, ctx);
-          if (!v.ok()) {
-            keep = false;
-            break;
-          }
-          Result<bool> b = EffectiveBooleanValue(*v);
-          if (!b.ok() || !*b) {
-            keep = false;
-            break;
-          }
-        }
-        if (!keep) continue;
-        OutRow row;
-        for (const auto& p : projs) {
-          // A failing projection yields an unbound cell, same as an
-          // OPTIONAL that did not match.
-          Result<Term> v = EvalExpr(*p.expr, ctx);
-          row.cells.push_back(v.ok() ? *v : Term());
-        }
-        for (const auto& o : q.order_by) {
-          row.order_keys.push_back(EvalOrderKey(*o.expr, st, ctx));
-        }
-        rows.push_back(std::move(row));
-      }
+      SCISPARQL_RETURN_NOT_OK(Aggregate(q, projs, solutions, emit));
     } else {
-      for (const Binding& sol : solutions) {
+      for (size_t i = 0; i < solutions.size(); ++i) {
         SCISPARQL_RETURN_NOT_OK(CheckInterrupt());
-        State st{graph, sol};
-        EvalContext ctx = MakeCtx(st);
-        OutRow row;
-        for (const auto& p : projs) {
-          Result<Term> v = EvalExpr(*p.expr, ctx);
-          row.cells.push_back(v.ok() ? *v : Term());
-        }
-        for (const auto& o : q.order_by) {
-          row.order_keys.push_back(EvalOrderKey(*o.expr, st, ctx));
-        }
-        rows.push_back(std::move(row));
+        emit(solutions.row(i));
       }
     }
+    std::vector<uint32_t> order(n_rows);
+    for (size_t i = 0; i < n_rows; ++i) order[i] = static_cast<uint32_t>(i);
 
     // ORDER BY.
-    if (!q.order_by.empty()) {
-      std::stable_sort(
-          rows.begin(), rows.end(), [&q](const OutRow& a, const OutRow& b) {
-            for (size_t i = 0; i < q.order_by.size(); ++i) {
-              const OrderKeyVal& ka = a.order_keys[i];
-              const OrderKeyVal& kb = b.order_keys[i];
-              // Error'd keys form their own band after every non-error
-              // key (ahead of them under DESC, like any comparison);
-              // within the band the stable sort preserves input order.
-              int c = ka.error != kb.error
-                          ? (ka.error ? 1 : -1)
-                          : CompareOrderKeys(ka.term, kb.term);
-              if (c != 0) {
-                return q.order_by[i].ascending ? c < 0 : c > 0;
-              }
-            }
-            return false;
-          });
+    if (n_keys > 0) {
+      std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        for (size_t i = 0; i < n_keys; ++i) {
+          const OrderKeyVal& ka = keys[a * n_keys + i];
+          const OrderKeyVal& kb = keys[b * n_keys + i];
+          // Error'd keys form their own band after every non-error key
+          // (ahead of them under DESC, like any comparison); within the
+          // band the stable sort preserves input order.
+          int c = ka.error != kb.error
+                      ? (ka.error ? 1 : -1)
+                      : CompareOrderKeys(ka.term ? *ka.term : UndefTerm(),
+                                         kb.term ? *kb.term : UndefTerm());
+          if (c != 0) return q.order_by[i].ascending ? c < 0 : c > 0;
+        }
+        return false;
+      });
     }
 
-    // DISTINCT / REDUCED.
+    // DISTINCT / REDUCED, by term identity over the projected cells.
     if (q.distinct || q.reduced) {
-      std::set<std::vector<Term>, RowLess> seen;
-      std::vector<OutRow> unique;
-      for (OutRow& row : rows) {
-        if (seen.insert(row.cells).second) unique.push_back(std::move(row));
+      RowGrouper seen(&dataset_->default_graph().dict(), n_cols);
+      std::vector<uint32_t> unique;
+      for (uint32_t r : order) {
+        if (seen.Add(cells.data() + r * n_cols).second) unique.push_back(r);
       }
-      rows = std::move(unique);
+      order = std::move(unique);
     }
 
-    // OFFSET / LIMIT.
+    // OFFSET / LIMIT, then the surviving cells become terms.
     size_t begin = std::min(static_cast<size_t>(std::max<int64_t>(q.offset, 0)),
-                            rows.size());
-    size_t end = rows.size();
+                            order.size());
+    size_t end = order.size();
     if (q.limit >= 0) {
       end = std::min(end, begin + static_cast<size_t>(q.limit));
     }
+    result.rows.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
-      result.rows.push_back(std::move(rows[i].cells));
+      std::vector<Term>& out = result.rows.emplace_back();
+      out.reserve(n_cols);
+      const Cell* c = cells.data() + order[i] * n_cols;
+      for (size_t x = 0; x < n_cols; ++x) {
+        out.push_back(c[x].bound() ? c[x].value() : Term());
+      }
     }
     return result;
   }
 
+  /// Groups `sols` by the GROUP BY keys (term identity, as DISTINCT) and
+  /// emits each group that passes HAVING through its representative row —
+  /// the first member, or an unbound row for the empty group — with the
+  /// aggregates' values in the expression context. Groups come out in the
+  /// term order of their keys.
+  template <typename Emit>
+  Status Aggregate(const SelectQuery& q,
+                   const std::vector<SelectQuery::Projection>& projs,
+                   Rows& sols, Emit&& emit) {
+    const size_t n_keys = q.group_by.size();
+    RowGrouper grouper(&dataset_->default_graph().dict(), n_keys);
+    std::vector<uint32_t> group_of(sols.size());
+    std::vector<Cell> key(n_keys);
+    std::vector<Cell> group_keys;  // first member's key cells per group
+    for (size_t i = 0; i < sols.size(); ++i) {
+      for (size_t g = 0; g < n_keys; ++g) {
+        key[g] = Project(*q.group_by[g], sols.row(i));
+      }
+      auto [g, fresh] = grouper.Add(key.data());
+      if (fresh) group_keys.insert(group_keys.end(), key.begin(), key.end());
+      group_of[i] = static_cast<uint32_t>(g);
+    }
+    // Members grouped contiguously, in solution order within a group.
+    size_t n_groups = grouper.groups();
+    std::vector<uint32_t> offsets(n_groups + 1, 0);
+    for (uint32_t g : group_of) ++offsets[g + 1];
+    for (size_t g = 0; g < n_groups; ++g) offsets[g + 1] += offsets[g];
+    std::vector<uint32_t> members(sols.size());
+    {
+      std::vector<uint32_t> at(offsets.begin(), offsets.end() - 1);
+      for (size_t i = 0; i < sols.size(); ++i) {
+        members[at[group_of[i]]++] = static_cast<uint32_t>(i);
+      }
+    }
+    if (n_groups == 0 && n_keys == 0) {
+      n_groups = 1;  // single empty group: COUNT(*) = 0 etc.
+      offsets.push_back(0);
+    }
+    std::vector<uint32_t> groups(n_groups);
+    for (size_t g = 0; g < n_groups; ++g) groups[g] = static_cast<uint32_t>(g);
+    std::stable_sort(groups.begin(), groups.end(), [&](uint32_t a, uint32_t b) {
+      for (size_t x = 0; x < n_keys; ++x) {
+        const Cell& ca = group_keys[a * n_keys + x];
+        const Cell& cb = group_keys[b * n_keys + x];
+        int c = Term::Compare(ca.bound() ? ca.value() : UndefTerm(),
+                              cb.bound() ? cb.value() : UndefTerm());
+        if (c != 0) return c < 0;
+      }
+      return false;
+    });
+    // Aggregate nodes used anywhere in the output.
+    std::vector<const ast::Expr*> agg_nodes;
+    for (const auto& p : projs) CollectAggNodes(*p.expr, &agg_nodes);
+    for (const auto& h : q.having) CollectAggNodes(*h, &agg_nodes);
+    for (const auto& o : q.order_by) CollectAggNodes(*o.expr, &agg_nodes);
+
+    std::vector<Cell> empty_row(frame_->width());
+    for (uint32_t g : groups) {
+      const uint32_t* first = members.data() + offsets[g];
+      const size_t n = offsets[g + 1] - offsets[g];
+      std::map<const ast::Expr*, Term> agg_values;
+      for (const ast::Expr* node : agg_nodes) {
+        // A failing aggregate is left undefined.
+        Result<Term> v = EvalAggregate(*node, sols, first, n);
+        if (v.ok()) agg_values[node] = std::move(*v);
+      }
+      Cell* rep = n == 0 ? empty_row.data() : sols.row(first[0]);
+      ctx_.agg_values = &agg_values;
+      bool keep = true;
+      for (const auto& h : q.having) {
+        Result<Term> v = Eval(*h, rep);
+        Result<bool> b =
+            v.ok() ? EffectiveBooleanValue(*v) : Result<bool>(false);
+        if (!b.ok() || !*b) {
+          keep = false;
+          break;
+        }
+      }
+      if (keep) emit(rep);
+      ctx_.agg_values = nullptr;
+    }
+    return Status::OK();
+  }
+
   Result<bool> Ask(const SelectQuery& q) {
-    const Graph* graph = &dataset_->default_graph();
-    State st{graph, Binding()};
+    FrameScope scope(this, q);
+    std::vector<Cell> row(frame_->width());
     bool found = false;
     SCISPARQL_ASSIGN_OR_RETURN(bool ok,
-                               EvalGroup(q.where, st, [&found]() -> Result<bool> {
+                               EvalGroup(q.where, row.data(), [&found]() {
                                  found = true;
-                                 return false;
+                                 return Result<bool>(false);
                                }));
     (void)ok;
     return found;
   }
 
+  /// The term `vt` takes in solution `row` (Undef: unbound).
+  Term Instantiate(const VarOrTerm& vt, const Cell* row) const {
+    const Term* v = ValueIn(vt, row);
+    return v == nullptr ? Term() : *v;
+  }
+
   Result<Graph> Construct(const SelectQuery& q) {
-    SCISPARQL_ASSIGN_OR_RETURN(std::vector<Binding> solutions,
-                               CollectSolutions(q, Binding()));
+    FrameScope scope(this, q);
+    SCISPARQL_ASSIGN_OR_RETURN(Rows solutions, CollectSolutions(q, {}));
     Graph out;
     int blank_round = 0;
-    for (const Binding& sol : solutions) {
+    for (size_t r = 0; r < solutions.size(); ++r) {
+      const Cell* sol = solutions.row(r);
       ++blank_round;
       std::map<std::string, Term> blank_map;
       bool ok = true;
       std::vector<Triple> staged;
       for (const TriplePattern& tp : q.construct_template) {
         auto instantiate = [&](const VarOrTerm& vt) -> Term {
-          if (vt.is_var) {
-            if (IsInternalVar(vt.var)) {
-              // Collection / blank-list scaffolding in the template:
-              // fresh blank per solution.
-              auto [it, inserted] = blank_map.emplace(
-                  vt.var, Term::Blank(vt.var + "_" +
-                                      std::to_string(blank_round)));
-              (void)inserted;
-              return it->second;
-            }
-            auto it = sol.find(vt.var);
-            return it == sol.end() ? Term() : it->second;
+          if (vt.is_var && IsInternalVar(vt.var)) {
+            // Collection / blank-list scaffolding in the template:
+            // fresh blank per solution.
+            auto [it, inserted] = blank_map.emplace(
+                vt.var,
+                Term::Blank(vt.var + "_" + std::to_string(blank_round)));
+            (void)inserted;
+            return it->second;
           }
-          if (vt.term.IsBlank()) {
+          if (!vt.is_var && vt.term.IsBlank()) {
             auto [it, inserted] = blank_map.emplace(
                 vt.term.blank_label(),
                 Term::Blank(vt.term.blank_label() + "_" +
@@ -1516,7 +1489,7 @@ class ExecImpl {
             (void)inserted;
             return it->second;
           }
-          return vt.term;
+          return Instantiate(vt, sol);
         };
         Triple t{instantiate(tp.s), instantiate(tp.p), instantiate(tp.o)};
         if (t.s.IsUndef() || t.p.IsUndef() || t.o.IsUndef() ||
@@ -1533,6 +1506,7 @@ class ExecImpl {
   }
 
   Result<Graph> Describe(const SelectQuery& q) {
+    FrameScope scope(this, q);
     // Collect the resources to describe.
     std::vector<Term> targets;
     auto add_target = [&targets](Term t) {
@@ -1542,16 +1516,11 @@ class ExecImpl {
       targets.push_back(std::move(t));
     };
     if (q.has_where) {
-      SCISPARQL_ASSIGN_OR_RETURN(std::vector<Binding> solutions,
-                                 CollectSolutions(q, Binding()));
-      for (const Binding& sol : solutions) {
+      SCISPARQL_ASSIGN_OR_RETURN(Rows solutions, CollectSolutions(q, {}));
+      for (size_t r = 0; r < solutions.size(); ++r) {
         for (const VarOrTerm& target : q.describe_targets) {
-          if (target.is_var) {
-            auto it = sol.find(target.var);
-            if (it != sol.end()) add_target(it->second);
-          } else {
-            add_target(target.term);
-          }
+          Term t = Instantiate(target, solutions.row(r));
+          if (!t.IsUndef()) add_target(std::move(t));
         }
       }
     } else {
@@ -1664,9 +1633,8 @@ class ExecImpl {
         // collections exactly as Turtle loading does, then commit the
         // staged content as one batch.
         Graph staging;
-        Binding empty;
-        SCISPARQL_RETURN_NOT_OK(InstantiateInto(op.insert_template, empty,
-                                                &staging, true, target));
+        SCISPARQL_RETURN_NOT_OK(
+            InstantiateInto(op.insert_template, &staging, true, target));
         SCISPARQL_ASSIGN_OR_RETURN(int n,
                                    loaders::ConsolidateCollections(&staging));
         (void)n;
@@ -1692,18 +1660,17 @@ class ExecImpl {
         SelectQuery probe;
         probe.where = op.where;
         probe.select_all = true;
-        SCISPARQL_ASSIGN_OR_RETURN(std::vector<Binding> solutions,
-                                   CollectSolutions(probe, Binding()));
+        FrameScope scope(this, probe);
+        SCISPARQL_ASSIGN_OR_RETURN(Rows solutions,
+                                   CollectSolutions(probe, {}));
         // Stage deletions and insertions, then apply as one batch (so an
         // update never observes its own effects, per SPARQL Update
         // semantics, and readers see either none or all of it).
         std::vector<Triple> to_delete;
         std::vector<Triple> to_insert;
-        for (const Binding& sol : solutions) {
-          SCISPARQL_RETURN_NOT_OK(
-              StageTemplate(op.delete_template, sol, &to_delete));
-          SCISPARQL_RETURN_NOT_OK(
-              StageTemplate(op.insert_template, sol, &to_insert));
+        for (size_t r = 0; r < solutions.size(); ++r) {
+          StageTemplate(op.delete_template, solutions.row(r), &to_delete);
+          StageTemplate(op.insert_template, solutions.row(r), &to_insert);
         }
         WriteBatch batch;
         batch.reserve(to_delete.size() + to_insert.size());
@@ -1758,27 +1725,23 @@ class ExecImpl {
     return Status::Internal("unknown update kind");
   }
 
-  Status StageTemplate(const std::vector<TriplePattern>& tmpl,
-                       const Binding& sol, std::vector<Triple>* out) {
+  void StageTemplate(const std::vector<TriplePattern>& tmpl, const Cell* sol,
+                     std::vector<Triple>* out) {
     for (const TriplePattern& tp : tmpl) {
-      auto instantiate = [&](const VarOrTerm& vt) -> Term {
-        if (!vt.is_var) return vt.term;
-        auto it = sol.find(vt.var);
-        return it == sol.end() ? Term() : it->second;
-      };
-      Triple t{instantiate(tp.s), instantiate(tp.p), instantiate(tp.o)};
+      Triple t{Instantiate(tp.s, sol), Instantiate(tp.p, sol),
+               Instantiate(tp.o, sol)};
       if (t.s.IsUndef() || t.p.IsUndef() || t.o.IsUndef()) continue;
       out->push_back(std::move(t));
     }
-    return Status::OK();
   }
 
-  /// Instantiates a template into `target`. Fresh blank labels are drawn
-  /// from `blank_namer` when given (the batch update path instantiates
-  /// into a staging graph but needs labels unique in the real target);
+  /// Instantiates a data block's template into `target`. Fresh blank
+  /// labels are drawn from `blank_namer` when given (the batch update path
+  /// instantiates into a staging graph but needs labels unique in the real
+  /// target);
   /// FreshBlankLabel is atomic, so this is safe under the shared lock.
   Status InstantiateInto(const std::vector<TriplePattern>& tmpl,
-                         const Binding& sol, Graph* target, bool fresh_blanks,
+                         Graph* target, bool fresh_blanks,
                          Graph* blank_namer = nullptr) {
     Graph* namer = blank_namer != nullptr ? blank_namer : target;
     std::map<std::string, Term> blank_map;
@@ -1798,11 +1761,7 @@ class ExecImpl {
             }
             return it->second;
           }
-          auto it = sol.find(vt.var);
-          if (it == sol.end()) {
-            return Status::InvalidArgument("unbound variable in data block");
-          }
-          return it->second;
+          return Status::InvalidArgument("unbound variable in data block");
         }
         if (fresh_blanks && vt.term.IsBlank()) {
           auto it = blank_map.find(vt.term.blank_label());
@@ -1831,11 +1790,7 @@ class ExecImpl {
       return Status::InvalidArgument("function recursion too deep: " +
                                      def.name);
     }
-    Binding initial;
-    for (size_t i = 0; i < def.params.size(); ++i) {
-      initial[def.params[i]] = args[i];
-    }
-    Result<QueryResult> result = Select(*def.body, std::move(initial));
+    Result<QueryResult> result = Select(*def.body, &def.params, &args);
     --call_depth_;
     SCISPARQL_RETURN_NOT_OK(result.status());
     std::vector<Term> bag;
@@ -1848,8 +1803,9 @@ class ExecImpl {
   Result<std::string> Explain(const SelectQuery& q) {
     // EXPLAIN is analyze-style: run the query once with per-scan profiling
     // so the plan can report estimated *and* actual cardinalities.
+    FrameScope scope(this, q);
     profile_ = true;
-    Result<std::vector<Binding>> sols = CollectSolutions(q, Binding());
+    Result<Rows> sols = CollectSolutions(q, {});
     profile_ = options_.trace != nullptr;
     std::ostringstream out;
     out << "plan for " << (q.form == SelectQuery::Form::kSelect ? "SELECT"
@@ -1870,35 +1826,22 @@ class ExecImpl {
 
   void ExplainGroup(const GraphPattern& gp, int depth, std::ostringstream* out) {
     std::string pad(static_cast<size_t>(depth) * 2, ' ');
-    State st{&dataset_->default_graph(), Binding()};
-    size_t i = 0;
-    // Same element order the evaluator uses (group-scoped FILTERs moved
-    // past the elements that bind their variables).
-    const std::vector<const PatternElement*>& elems = GroupView(gp);
-    while (i < elems.size()) {
-      if (elems[i]->kind == PatternElement::Kind::kTriple) {
-        std::vector<const TriplePattern*> bgp;
-        std::vector<const ast::Expr*> filters;
-        size_t j = i;
-        while (j < elems.size() &&
-               (elems[j]->kind == PatternElement::Kind::kTriple ||
-                (options_.push_filters &&
-                 elems[j]->kind == PatternElement::Kind::kFilter))) {
-          if (elems[j]->kind == PatternElement::Kind::kTriple) {
-            bgp.push_back(&elems[j]->triple);
-          } else {
-            filters.push_back(elems[j]->expr.get());
-          }
-          ++j;
-        }
+    // Same steps the evaluator runs (group-scoped FILTERs moved past the
+    // elements that bind their variables).
+    for (const Step& step : Group(gp)) {
+      if (step.bgp != nullptr) {
+        const std::vector<const TriplePattern*>& bgp = step.bgp->patterns;
         // Prefer the plan recorded during the profiled run (it saw the
         // real graph and bindings); fall back to planning statically for
         // pattern runs that never executed.
         const PlanRecord* rec = nullptr;
-        auto it = plan_records_.find(bgp.empty() ? nullptr : bgp[0]);
+        auto it = plan_records_.find(bgp[0]);
         if (it != plan_records_.end()) rec = &it->second;
         OrderedBgp planned;
-        if (rec == nullptr) planned = OrderBgp(bgp, filters, st, true);
+        if (rec == nullptr) {
+          planned = OrderBgp(bgp, step.bgp->filters,
+                             &dataset_->default_graph(), nullptr, true);
+        }
         const std::vector<const TriplePattern*>& order =
             rec != nullptr ? rec->order : planned.patterns;
         const std::vector<int64_t>& est = rec != nullptr ? rec->est
@@ -1922,10 +1865,9 @@ class ExecImpl {
           }
           *out << "\n";
         }
-        i = j;
         continue;
       }
-      const PatternElement& e = *elems[i];
+      const PatternElement& e = *step.elem;
       switch (e.kind) {
         case PatternElement::Kind::kFilter:
           *out << pad << "filter\n";
@@ -1959,7 +1901,6 @@ class ExecImpl {
         default:
           break;
       }
-      ++i;
     }
   }
 
@@ -2016,13 +1957,31 @@ class ExecImpl {
   const ExecOptions& options_;
   uint32_t interrupt_tick_ = 0;
   int call_depth_ = 0;
-  std::map<const GraphPattern*, std::vector<Binding>> minus_cache_;
+  std::function<Status()> interrupt_;
+  EvalContext ctx_;
+  /// The current query's frame, the row expressions read and the graph
+  /// BGPs read.
+  const Frame* frame_ = nullptr;
+  Cell* cur_row_ = nullptr;
+  const Graph* cur_graph_ = nullptr;
+  /// Frames, compiled groups (boxed: EvalSteps holds references into the
+  /// steps across recursion) and their BGPs; a query has few of each.
+  std::vector<std::pair<const SelectQuery*, std::unique_ptr<Frame>>> frames_;
+  std::vector<std::pair<const GraphPattern*,
+                        std::unique_ptr<std::vector<Step>>>>
+      groups_;
+  std::vector<std::unique_ptr<Bgp>> bgps_;
+  std::vector<std::unique_ptr<GraphCtx>> graph_ctxs_;
+  std::list<Graph> from_graphs_;
+  /// Terms the query computed (BIND, projections, keys), and the count of
+  /// rows stored so far, which decides whether a BIND may free its term.
+  std::optional<std::deque<Term>> arena_;  // made on first use
+  uint64_t retained_ = 0;
+  std::vector<int> bound_here_;
+  std::map<std::string, Term> graph_names_;
+  std::map<const GraphPattern*, Rows> minus_cache_;
   std::map<const SelectQuery*, QueryResult> subselect_cache_;
   PathScratch path_scratch_;
-  /// Evaluation-order views per group (node-stable map: EvalSteps holds
-  /// references into the values across recursion).
-  std::map<const GraphPattern*, std::vector<const PatternElement*>>
-      group_views_;
   /// EXPLAIN / tracing profiling: per-scan candidate (in) and consistent
   /// (out) binding counts, recorded plans, optimizer time and eval-loop
   /// counters.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 
 #include "rdf/graph.h"
@@ -163,14 +162,14 @@ struct StepShape {
   Small3<size_t> new_cols;   // scan columns appended to the output
 };
 
-StepShape ShapeStep(const IdPattern& pat, const std::vector<int>& left_slots) {
+/// `left` holds the `n_left` slots the left side carries.
+StepShape ShapeStep(const IdPattern& pat, const int* left, size_t n_left) {
   StepShape sh;
   sh.scan = PlanScan(pat);
   for (size_t rc = 0; rc < sh.scan.out_slot.size(); ++rc) {
-    auto it = std::find(left_slots.begin(), left_slots.end(),
-                        sh.scan.out_slot[rc]);
-    if (it != left_slots.end()) {
-      sh.pairs.push_back({static_cast<size_t>(it - left_slots.begin()), rc});
+    const int* it = std::find(left, left + n_left, sh.scan.out_slot[rc]);
+    if (it != left + n_left) {
+      sh.pairs.push_back({static_cast<size_t>(it - left), rc});
     } else {
       sh.new_cols.push_back(rc);
     }
@@ -364,11 +363,13 @@ Status MergeJoin(const Relation& left, size_t lcol, const Relation& right,
   return Status::OK();
 }
 
-/// Hash join (or, with no join pairs, a cross product). Builds a key →
-/// row-index table over the build side, probes with the other side in
-/// order, so the output inherits the probe side's sort column. Keys pack
-/// up to two join values exactly; any further pairs are verified per
-/// candidate, so collisions cannot produce false matches. Matches go to
+/// Hash join (or, with no join pairs, a cross product). Builds a flat
+/// chained table over the build side — a bucket head per power-of-two
+/// slot and a next link per build row, no per-key allocation — and probes
+/// with the other side in order, so the output inherits the probe side's
+/// sort column. Keys pack up to two join values exactly; any further pairs
+/// are verified per candidate, so collisions cannot produce false matches.
+/// A probe meets its matches in build-row order. Matches go to
 /// `emit(left row, right row)` until it returns false.
 template <typename Emit>
 Status HashJoin(const Relation& left, const Relation& right,
@@ -390,23 +391,33 @@ Status HashJoin(const Relation& left, const Relation& right,
     return k;
   };
 
-  std::unordered_map<uint64_t, std::vector<uint32_t>> table;
-  table.reserve(build.rows);
-  for (size_t r = 0; r < build.rows; ++r) {
-    table[key_of(build, r, build_cols)].push_back(static_cast<uint32_t>(r));
+  constexpr uint32_t kEnd = 0xFFFFFFFFu;
+  int bits = 4;
+  while ((size_t{1} << bits) < build.rows) ++bits;
+  const int shift = 64 - bits;
+  auto bucket = [shift](uint64_t k) {
+    return static_cast<size_t>((k * 0x9E3779B97F4A7C15ULL) >> shift);
+  };
+  std::vector<uint64_t> keys(build.rows);
+  std::vector<uint32_t> head(size_t{1} << bits, kEnd);
+  std::vector<uint32_t> next(build.rows);
+  // Linked back to front, so each chain runs in build-row order.
+  for (size_t r = build.rows; r-- > 0;) {
+    keys[r] = key_of(build, r, build_cols);
+    uint32_t& h = head[bucket(keys[r])];
+    next[r] = h;
+    h = static_cast<uint32_t>(r);
   }
 
   uint32_t tick = 0;
-  static const std::vector<uint32_t> kEmpty;
   for (size_t pr = 0; pr < probe.rows; ++pr) {
     if (interrupt != nullptr && (++tick & kInterruptStride) == 0) {
       SCISPARQL_RETURN_NOT_OK(interrupt());
     }
     // With no join pairs every key is 0: a cross product.
-    auto it = table.find(key_of(probe, pr, probe_cols));
-    const std::vector<uint32_t>& bucket =
-        it == table.end() ? kEmpty : it->second;
-    for (uint32_t br : bucket) {
+    const uint64_t k = key_of(probe, pr, probe_cols);
+    for (uint32_t br = head[bucket(k)]; br != kEnd; br = next[br]) {
+      if (keys[br] != k) continue;
       bool match = true;
       for (size_t x = 2; x < pairs.size(); ++x) {
         if (build.at(br, build_cols[x]) != probe.at(pr, probe_cols[x])) {
@@ -430,13 +441,14 @@ class StepRunner {
   StepRunner(const IdIndexes& idx, const DeltaIdRuns* delta,
              std::vector<ProbeStep>* steps,
              const std::function<Status()>& interrupt, const IdRowSink& sink,
-             ScanTally* tally)
+             ScanTally* tally, std::vector<uint32_t>* row)
       : idx_(idx),
         delta_(delta),
         steps_(*steps),
         interrupt_(interrupt),
         sink_(sink),
-        tally_(tally) {}
+        tally_(tally),
+        row_(*row) {}
 
   Status Run(const Relation& left) {
     size_t width = left.width();
@@ -473,40 +485,62 @@ class StepRunner {
   const std::function<Status()>& interrupt_;
   const IdRowSink& sink_;
   ScanTally* tally_;
-  std::vector<uint32_t> row_;
+  std::vector<uint32_t>& row_;
   uint32_t tick_ = 0;
   Status status_ = Status::OK();
 };
 
 }  // namespace
 
-Status ExecuteIdJoin(const IdIndexes& idx, const DeltaIdRuns* delta,
-                     const std::vector<IdPattern>& patterns, size_t max_rows,
-                     const std::function<Status()>& interrupt,
-                     const IdRowSink& emit, IdJoinResult* out) {
+/// What a run keeps for the next one: the step shapes, the probe steps
+/// and the streamed row, so a repeated run allocates only for the
+/// relations it materializes.
+struct IdJoin::Scratch {
+  std::vector<StepShape> shapes;
+  std::vector<ProbeStep> probes;
+  std::vector<uint32_t> row;
+};
+
+IdJoin::IdJoin(std::vector<IdPattern> patterns)
+    : patterns_(std::move(patterns)), scratch_(std::make_unique<Scratch>()) {
+  for (const IdPattern& pat : patterns_) {
+    const StepShape sh = ShapeStep(pat, slots_.data(), slots_.size());
+    for (size_t rc : sh.new_cols) slots_.push_back(sh.scan.out_slot[rc]);
+  }
+  scratch_->shapes.reserve(patterns_.size());
+  scratch_->probes.reserve(patterns_.size());
+}
+
+IdJoin::~IdJoin() = default;
+
+Status IdJoin::Run(const IdIndexes& idx, const DeltaIdRuns* delta,
+                   size_t max_rows, const std::function<Status()>& interrupt,
+                   const IdRowSink& emit) {
+  const std::vector<IdPattern>& patterns = patterns_;
   const size_t n = patterns.size();
   // Every step's shape, against the columns accumulated before it; the
-  // output layout is fixed up front, whichever operators run.
-  std::vector<StepShape> shapes;
-  shapes.reserve(n);
-  out->slots.clear();
+  // output layout was fixed at construction, whichever operators run.
+  std::vector<StepShape>& shapes = scratch_->shapes;
+  shapes.clear();
+  size_t n_left = 0;
   for (const IdPattern& pat : patterns) {
-    shapes.push_back(ShapeStep(pat, out->slots));
-    const StepShape& sh = shapes.back();
-    for (size_t rc : sh.new_cols) out->slots.push_back(sh.scan.out_slot[rc]);
+    shapes.push_back(ShapeStep(pat, slots_.data(), n_left));
+    n_left += shapes.back().new_cols.size();
   }
-  out->steps.assign(n, IdJoinStep{});
+  steps_.assign(n, IdJoinStep{});
 
   ScanTally tally;
   Relation acc;
   // Runs steps first..last-1 depth-first from every accumulated row.
   auto run = [&](size_t first, size_t last, const IdRowSink& sink) {
-    std::vector<ProbeStep> steps;
-    steps.reserve(last - first);
+    std::vector<ProbeStep>& steps = scratch_->probes;
+    steps.clear();
     for (size_t j = first; j < last; ++j) {
-      steps.emplace_back(patterns[j], shapes[j], &out->steps[j]);
+      steps.emplace_back(patterns[j], shapes[j], &steps_[j]);
     }
-    return StepRunner(idx, delta, &steps, interrupt, sink, &tally).Run(acc);
+    return StepRunner(idx, delta, &steps, interrupt, sink, &tally,
+                      &scratch_->row)
+        .Run(acc);
   };
   if (n < 2) return run(0, n, emit);
 
@@ -542,7 +576,7 @@ Status ExecuteIdJoin(const IdIndexes& idx, const DeltaIdRuns* delta,
     // exact size — unless it alone passes the cap.
     const PrefixScan scan = range_of(0);
     if (scan.raw_rows() > max_rows) return run(0, n, emit);
-    IdJoinStep& step = out->steps[0];
+    IdJoinStep& step = steps_[0];
     step.perm = shapes[0].scan.perm;
     step.scan_rows = scan.raw_rows();
     step.delta = scan.delta_hit();
@@ -554,7 +588,7 @@ Status ExecuteIdJoin(const IdIndexes& idx, const DeltaIdRuns* delta,
   for (; i < n; ++i) {
     if (interrupt != nullptr) SCISPARQL_RETURN_NOT_OK(interrupt());
     const StepShape& sh = shapes[i];
-    IdJoinStep& step = out->steps[i];
+    IdJoinStep& step = steps_[i];
     bool build_left = false;
     const double keys = patterns[i].path != nullptr
                             ? 0.0
@@ -623,6 +657,17 @@ Status ExecuteIdJoin(const IdIndexes& idx, const DeltaIdRuns* delta,
     acc = std::move(joined);
   }
   return run(i, n, emit);
+}
+
+Status ExecuteIdJoin(const IdIndexes& idx, const DeltaIdRuns* delta,
+                     const std::vector<IdPattern>& patterns, size_t max_rows,
+                     const std::function<Status()>& interrupt,
+                     const IdRowSink& emit, IdJoinResult* out) {
+  IdJoin join(patterns);
+  out->slots = join.slots();
+  Status s = join.Run(idx, delta, max_rows, interrupt, emit);
+  out->steps = join.steps();
+  return s;
 }
 
 }  // namespace sparql

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -207,6 +208,37 @@ Status ExecuteIdJoin(const IdIndexes& idx, const DeltaIdRuns* delta,
                      const std::vector<IdPattern>& patterns, size_t max_rows,
                      const std::function<Status()>& interrupt,
                      const IdRowSink& emit, IdJoinResult* out);
+
+/// ExecuteIdJoin for a BGP lowered once and run many times, as the
+/// executor runs an OPTIONAL arm once per outer row. The layout (`slots`)
+/// is fixed at construction from which positions are slots; between runs
+/// the caller may change the constant IDs (`patterns()`), never which
+/// positions are slots. A run keeps its step shapes, probe steps and row
+/// buffer for the next, so a run that materializes no relation — any
+/// one-pattern BGP — allocates nothing. Not reentrant: one run at a time.
+class IdJoin {
+ public:
+  explicit IdJoin(std::vector<IdPattern> patterns);
+  ~IdJoin();
+  IdJoin(const IdJoin&) = delete;
+  IdJoin& operator=(const IdJoin&) = delete;
+
+  std::vector<IdPattern>& patterns() { return patterns_; }
+  /// Column c of every emitted row holds the ID bound to slot `slots()[c]`.
+  const std::vector<int>& slots() const { return slots_; }
+  /// The last run's per-step profile.
+  const std::vector<IdJoinStep>& steps() const { return steps_; }
+
+  Status Run(const IdIndexes& idx, const DeltaIdRuns* delta, size_t max_rows,
+             const std::function<Status()>& interrupt, const IdRowSink& emit);
+
+ private:
+  struct Scratch;
+  std::vector<IdPattern> patterns_;
+  std::vector<int> slots_;
+  std::vector<IdJoinStep> steps_;
+  std::unique_ptr<Scratch> scratch_;
+};
 
 }  // namespace sparql
 }  // namespace scisparql

@@ -335,17 +335,26 @@ Status Unimplemented(const std::string& what) {
   return Status::Unsupported("oracle: " + what + " is not implemented");
 }
 
-Status CheckExpr(const ast::Expr& e) {
+/// `aggregates`: whether the expression may hold aggregates (projections,
+/// HAVING and ORDER BY may; an aggregate's argument may not).
+Status CheckExpr(const ast::Expr& e, bool aggregates = false) {
   using K = ast::Expr::Kind;
-  if (e.kind == K::kAggregate) return Unimplemented("an aggregate");
+  if (e.kind == K::kAggregate) {
+    if (!aggregates || e.agg == ast::AggFunc::kGroupConcat) {
+      return Unimplemented("this aggregate");
+    }
+    return e.agg_arg == nullptr ? Status::OK() : CheckExpr(*e.agg_arg);
+  }
   if (e.kind == K::kExists) return Unimplemented("EXISTS");
   if (e.kind == K::kCall && !sparql::IsBuiltinFunction(e.fn)) {
     return Unimplemented("function " + e.fn);
   }
   for (const ast::Expr* c : {e.left.get(), e.right.get(), e.base.get()}) {
-    if (c != nullptr) SCISPARQL_RETURN_NOT_OK(CheckExpr(*c));
+    if (c != nullptr) SCISPARQL_RETURN_NOT_OK(CheckExpr(*c, aggregates));
   }
-  for (const auto& a : e.args) SCISPARQL_RETURN_NOT_OK(CheckExpr(*a));
+  for (const auto& a : e.args) {
+    SCISPARQL_RETURN_NOT_OK(CheckExpr(*a, aggregates));
+  }
   for (const auto& s : e.subscripts) {
     for (const ast::Expr* c :
          {s.index.get(), s.lo.get(), s.hi.get(), s.stride.get()}) {
@@ -353,6 +362,18 @@ Status CheckExpr(const ast::Expr& e) {
     }
   }
   return Status::OK();
+}
+
+/// The aggregates of an expression, outermost first.
+void CollectAggregates(const ast::Expr& e, std::vector<const ast::Expr*>* out) {
+  if (e.kind == ast::Expr::Kind::kAggregate) {
+    out->push_back(&e);
+    return;
+  }
+  for (const ast::Expr* c : {e.left.get(), e.right.get(), e.base.get()}) {
+    if (c != nullptr) CollectAggregates(*c, out);
+  }
+  for (const auto& a : e.args) CollectAggregates(*a, out);
 }
 
 Status CheckPattern(const GraphPattern& gp) {
@@ -367,6 +388,7 @@ Status CheckPattern(const GraphPattern& gp) {
         break;
       case K::kOptional:
       case K::kGroup:
+      case K::kMinus:
         SCISPARQL_RETURN_NOT_OK(CheckPattern(*e.child));
         break;
       case K::kUnion:
@@ -375,7 +397,7 @@ Status CheckPattern(const GraphPattern& gp) {
         }
         break;
       default:
-        return Unimplemented("GRAPH, VALUES, MINUS or a sub-select");
+        return Unimplemented("GRAPH, VALUES or a sub-select");
     }
   }
   return Status::OK();
@@ -387,10 +409,15 @@ Status CheckQuery(const ast::SelectQuery& q) {
     return Unimplemented("CONSTRUCT or DESCRIBE");
   }
   if (!q.from.empty() || !q.from_named.empty()) return Unimplemented("FROM");
-  if (!q.group_by.empty() || !q.having.empty()) return Unimplemented("GROUP BY");
   if (q.reduced) return Unimplemented("REDUCED");
-  for (const auto& p : q.projections) SCISPARQL_RETURN_NOT_OK(CheckExpr(*p.expr));
-  for (const auto& o : q.order_by) SCISPARQL_RETURN_NOT_OK(CheckExpr(*o.expr));
+  for (const auto& g : q.group_by) SCISPARQL_RETURN_NOT_OK(CheckExpr(*g));
+  for (const auto& h : q.having) SCISPARQL_RETURN_NOT_OK(CheckExpr(*h, true));
+  for (const auto& p : q.projections) {
+    SCISPARQL_RETURN_NOT_OK(CheckExpr(*p.expr, true));
+  }
+  for (const auto& o : q.order_by) {
+    SCISPARQL_RETURN_NOT_OK(CheckExpr(*o.expr, true));
+  }
   return CheckPattern(q.where);
 }
 
@@ -445,13 +472,83 @@ class Evaluator {
     return out;
   }
 
-  Result<Term> Eval(const ast::Expr& e, const Mapping& m) const {
+  /// `aggs` holds the group's aggregate values (grouped queries only).
+  Result<Term> Eval(const ast::Expr& e, const Mapping& m,
+                    const std::map<const ast::Expr*, Term>* aggs =
+                        nullptr) const {
     sparql::EvalContext ctx;
     ctx.lookup = [&m](const std::string& name) {
       auto it = m.find(name);
       return it == m.end() ? Term() : it->second;
     };
+    ctx.agg_values = aggs;
     return sparql::EvalExpr(e, ctx);
+  }
+
+  /// One aggregate over a group (SPARQL 1.1, 18.5.1): the argument's
+  /// values, errors and unbound skipped, DISTINCT by the oracle's
+  /// identity. An aggregate with no value to give (AVG, MIN, MAX or SAMPLE
+  /// of no values, SUM over a non-numeric) is an error, so the expression
+  /// holding it is too. SAMPLE gives the first member's value.
+  Result<Term> Aggregate(const ast::Expr& agg,
+                         const std::vector<const Mapping*>& group) const {
+    std::vector<Term> values;
+    for (const Mapping* m : group) {
+      if (agg.agg_arg == nullptr) {  // COUNT(*)
+        values.push_back(Term::Integer(1));
+        continue;
+      }
+      Result<Term> v = Eval(*agg.agg_arg, *m);
+      if (!v.ok() || v->IsUndef()) continue;
+      if (agg.agg_distinct &&
+          std::any_of(values.begin(), values.end(), [&](const Term& x) {
+            return Same(x, *v, sem_, false);
+          })) {
+        continue;
+      }
+      values.push_back(std::move(*v));
+    }
+    const int64_t n = static_cast<int64_t>(values.size());
+    switch (agg.agg) {
+      case ast::AggFunc::kCount:
+        return Term::Integer(n);
+      case ast::AggFunc::kSum:
+      case ast::AggFunc::kAvg: {
+        bool integers = true;
+        int64_t isum = 0;
+        double dsum = 0;
+        for (const Term& v : values) {
+          if (!v.IsNumeric()) return Status::TypeError("SUM of a non-number");
+          if (v.kind() == Term::Kind::kInteger) {
+            isum += v.integer();
+            dsum += static_cast<double>(v.integer());
+          } else {
+            integers = false;
+            dsum += v.dbl();
+          }
+        }
+        if (agg.agg == ast::AggFunc::kSum) {
+          return integers ? Term::Integer(isum) : Term::Double(dsum);
+        }
+        if (n == 0) return Status::TypeError("AVG of no values");
+        return Term::Double(dsum / static_cast<double>(n));
+      }
+      case ast::AggFunc::kMin:
+      case ast::AggFunc::kMax: {
+        if (n == 0) return Status::TypeError("MIN/MAX of no values");
+        const bool min = agg.agg == ast::AggFunc::kMin;
+        return *std::min_element(
+            values.begin(), values.end(), [min](const Term& a, const Term& b) {
+              const int c = Term::Compare(a, b);
+              return min ? c < 0 : c > 0;
+            });
+      }
+      case ast::AggFunc::kSample:
+        if (n == 0) return Status::TypeError("SAMPLE of no values");
+        return values[0];
+      default:
+        return Unimplemented("this aggregate");
+    }
   }
 
  private:
@@ -577,6 +674,26 @@ class Evaluator {
         case K::kOptional:
           SCISPARQL_RETURN_NOT_OK(Optional(*e.child, omega));
           break;
+        case K::kMinus: {
+          // Evaluated on its own in either semantics; drops each mapping
+          // that some right mapping shares a variable with and is
+          // compatible with.
+          SCISPARQL_ASSIGN_OR_RETURN(std::vector<Mapping> right,
+                                     Group(*e.child, Mapping()));
+          std::vector<Mapping> kept;
+          for (Mapping& m : *omega) {
+            const bool dropped =
+                std::any_of(right.begin(), right.end(), [&](const Mapping& r) {
+                  const bool shares = std::any_of(
+                      r.begin(), r.end(),
+                      [&](const auto& kv) { return m.count(kv.first) > 0; });
+                  return shares && Compatible(m, r);
+                });
+            if (!dropped) kept.push_back(std::move(m));
+          }
+          *omega = std::move(kept);
+          break;
+        }
         default:
           return Unimplemented("this pattern element");
       }
@@ -690,6 +807,72 @@ Result<Answer> Evaluate(const Triples& triples, const ast::SelectQuery& q,
   }
   for (const auto& p : projections) answer.columns.push_back(p.first);
 
+  // Grouping (SPARQL 1.1, 18.5): the solutions partitioned by the GROUP BY
+  // keys under the oracle's identity (a key that fails to evaluate is
+  // unbound), one group of all solutions when there are aggregates but no
+  // GROUP BY. Each group answers through its aggregates and its keys: a
+  // key that is a plain variable stays bound to the group's value.
+  struct Item {
+    Mapping m;
+    std::map<const ast::Expr*, Term> aggs;
+  };
+  std::vector<Item> items;
+  std::vector<const ast::Expr*> aggs;
+  for (const auto& p : projections) CollectAggregates(*p.second, &aggs);
+  for (const auto& h : q.having) CollectAggregates(*h, &aggs);
+  for (const auto& o : q.order_by) CollectAggregates(*o.expr, &aggs);
+  if (q.group_by.empty() && aggs.empty()) {
+    for (Mapping& m : solutions) items.push_back({std::move(m), {}});
+  } else {
+    std::vector<std::vector<Term>> keys;
+    std::vector<std::vector<const Mapping*>> groups;
+    for (const Mapping& m : solutions) {
+      std::vector<Term> key;
+      for (const auto& g : q.group_by) {
+        Result<Term> k = ev.Eval(*g, m);
+        key.push_back(k.ok() ? *k : Term());
+      }
+      size_t at = 0;
+      for (; at < keys.size(); ++at) {
+        bool same = true;
+        for (size_t x = 0; x < key.size() && same; ++x) {
+          same = Same(keys[at][x], key[x], sem, false);
+        }
+        if (same) break;
+      }
+      if (at == keys.size()) {
+        keys.push_back(key);
+        groups.emplace_back();
+      }
+      groups[at].push_back(&m);
+    }
+    if (groups.empty() && q.group_by.empty()) {
+      keys.emplace_back();
+      groups.emplace_back();
+    }
+    for (size_t g = 0; g < groups.size(); ++g) {
+      Item item;
+      for (size_t x = 0; x < q.group_by.size(); ++x) {
+        const ast::Expr& k = *q.group_by[x];
+        if (k.kind == ast::Expr::Kind::kVar && !keys[g][x].IsUndef()) {
+          item.m[k.var] = keys[g][x];
+        }
+      }
+      for (const ast::Expr* a : aggs) {
+        Result<Term> v = ev.Aggregate(*a, groups[g]);
+        if (v.ok()) item.aggs[a] = std::move(*v);
+      }
+      bool keep = true;
+      for (const auto& h : q.having) {
+        Result<Term> v = ev.Eval(*h, item.m, &item.aggs);
+        Result<bool> b =
+            v.ok() ? sparql::EffectiveBooleanValue(*v) : Result<bool>(false);
+        keep = keep && b.ok() && *b;
+      }
+      if (keep) items.push_back(std::move(item));
+    }
+  }
+
   // ORDER BY (a key that fails to evaluate sorts as unbound, lowest), then
   // projection (a failing expression leaves its cell unbound), DISTINCT,
   // OFFSET and LIMIT.
@@ -698,14 +881,14 @@ Result<Answer> Evaluate(const Triples& triples, const ast::SelectQuery& q,
     std::vector<Term> cells;
   };
   std::vector<Row> rows;
-  for (const Mapping& m : solutions) {
+  for (const Item& item : items) {
     Row row;
     for (const auto& o : q.order_by) {
-      Result<Term> k = ev.Eval(*o.expr, m);
+      Result<Term> k = ev.Eval(*o.expr, item.m, &item.aggs);
       row.keys.push_back(k.ok() ? *k : Term());
     }
     for (const auto& p : projections) {
-      Result<Term> v = ev.Eval(*p.second, m);
+      Result<Term> v = ev.Eval(*p.second, item.m, &item.aggs);
       row.cells.push_back(v.ok() ? *v : Term());
     }
     rows.push_back(std::move(row));

@@ -11,13 +11,15 @@
 //    graph's nodes;
 //  - Evaluate, an evaluator over the engine-parsed query following
 //    Pérez–Arenas–Gutiérrez's compositional semantics: bags of mappings,
-//    Join, LeftJoin for OPTIONAL, Union, Filter over the whole group,
-//    then projection, DISTINCT, ORDER BY and OFFSET/LIMIT. It covers
-//    BGPs, FILTER, BIND, OPTIONAL, UNION, nested groups, SELECT and ASK;
-//    anything else (GRAPH, VALUES, MINUS, sub-selects, aggregates, EXISTS,
-//    non-builtin functions, FROM, CONSTRUCT, DESCRIBE) fails with an
-//    Unsupported "not implemented" status, so no test passes against an
-//    oracle that skipped part of its query.
+//    Join, LeftJoin for OPTIONAL, Union, Minus, Filter over the whole
+//    group, then grouping with aggregates and HAVING, projection,
+//    DISTINCT, ORDER BY and OFFSET/LIMIT. It covers BGPs, FILTER, BIND,
+//    OPTIONAL, UNION, MINUS, nested groups, GROUP BY with COUNT, SUM, AVG,
+//    MIN, MAX and SAMPLE, HAVING, SELECT and ASK; anything else (GRAPH,
+//    VALUES, sub-selects, GROUP_CONCAT, EXISTS, non-builtin functions,
+//    FROM, CONSTRUCT, DESCRIBE) fails with an Unsupported "not
+//    implemented" status, so no test passes against an oracle that
+//    skipped part of its query.
 //
 // Term identity is the oracle's own (SameValue): numerics by their exact
 // decimal value, never through the engine's Term::Identical, so a change

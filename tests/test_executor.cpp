@@ -605,5 +605,112 @@ TEST_F(OrderBandTest, ErroredProjectionYieldsUnboundCell) {
   for (size_t i = 2; i < 6; ++i) EXPECT_TRUE(r->rows[i][1].IsUndef());
 }
 
+// ---------------------------------------------------------------------------
+// Slot rows: a step binds slots in place and unbinds them after, BGPs are
+// lowered once per shape of the row they start from, and an ID is only
+// ever compared with IDs of its own graph's dictionary.
+// ---------------------------------------------------------------------------
+
+class SlotRowTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_.prefixes().Set("ex", "http://example.org/");
+    ASSERT_TRUE(db_.LoadTurtleString(R"(
+@prefix ex: <http://example.org/> .
+ex:a ex:p 1 ; ex:m 5 . ex:b ex:p 2 ; ex:q 2 .
+ex:t1 ex:r 1 . ex:t2 ex:r 7 .
+)")
+                    .ok());
+  }
+
+  /// Rows rendered one string each, sorted.
+  std::vector<std::string> Bag(const std::string& q) {
+    auto r = Query(db_, q);
+    EXPECT_TRUE(r.ok()) << r.status().ToString() << "\n" << q;
+    std::vector<std::string> out;
+    if (!r.ok()) return out;
+    for (const auto& row : r->rows) {
+      std::string k;
+      for (const Term& t : row) k += t.ToString() + " ";
+      out.push_back(k);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  SSDM db_;
+};
+
+TEST_F(SlotRowTest, UnionBranchBindingIsUnboundAfterTheUnion) {
+  // The first branch binds ?x, the second does not: the BGP after the
+  // UNION probes by ?x for the first branch's rows and enumerates it for
+  // the second's.
+  EXPECT_EQ(Bag("SELECT ?s ?x ?y ?t WHERE { { ?s ex:p ?x } UNION "
+                "{ ?s ex:q ?y } ?t ex:r ?x }"),
+            (std::vector<std::string>{
+                "<http://example.org/a> 1 UNDEF <http://example.org/t1> ",
+                "<http://example.org/b> 1 2 <http://example.org/t1> ",
+                "<http://example.org/b> 7 2 <http://example.org/t2> "}));
+  EXPECT_EQ(Bag("SELECT ?s WHERE { { ?s ex:p ?x } UNION { ?s ex:q ?y } "
+                "FILTER (!bound(?x)) }"),
+            (std::vector<std::string>{"<http://example.org/b> "}));
+}
+
+TEST_F(SlotRowTest, BindAfterOptionalAndBoundTermFeedsAProbe) {
+  EXPECT_EQ(Bag("SELECT ?s ?m ?z WHERE { ?s ex:p ?v OPTIONAL { ?s ex:m ?m } "
+                "BIND (IF(bound(?m), ?m * 10, -1) AS ?z) }"),
+            (std::vector<std::string>{"<http://example.org/a> 5 50 ",
+                                      "<http://example.org/b> UNDEF -1 "}));
+  // A BIND result is a computed term, not an ID: the BGP after it looks
+  // it up by value.
+  EXPECT_EQ(Bag("SELECT ?s ?t WHERE { ?s ex:p ?v BIND (?v AS ?k) "
+                "?t ex:r ?k }"),
+            (std::vector<std::string>{
+                "<http://example.org/a> <http://example.org/t1> "}));
+}
+
+TEST_F(SlotRowTest, ValuesJoinedWithABgp) {
+  EXPECT_EQ(Bag("SELECT ?s ?v WHERE { VALUES ?s { ex:a ex:t1 } ?s ex:p ?v }"),
+            (std::vector<std::string>{"<http://example.org/a> 1 "}));
+  EXPECT_EQ(Bag("SELECT ?s WHERE { ?s ex:p ?v VALUES ?v { 2 3 } }"),
+            (std::vector<std::string>{"<http://example.org/b> "}));
+}
+
+TEST_F(SlotRowTest, SubSelectJoinedOnASharedName) {
+  EXPECT_EQ(Bag("SELECT ?s ?v ?n WHERE { ?s ex:p ?v { SELECT ?s "
+                "(COUNT(*) AS ?n) WHERE { ?s ?pp ?o } GROUP BY ?s } }"),
+            (std::vector<std::string>{"<http://example.org/a> 1 2 ",
+                                      "<http://example.org/b> 2 2 "}));
+}
+
+TEST_F(SlotRowTest, GraphJoinsAcrossDictionariesByValue) {
+  // ex:a is interned after three other terms in the named graph, so its
+  // ID there differs from its ID in the default graph.
+  ASSERT_TRUE(db_.LoadTurtleString(
+                     "@prefix ex: <http://example.org/> .\n"
+                     "ex:z ex:w ex:u . ex:a ex:label \"A in g1\" .",
+                     "http://example.org/g1")
+                  .ok());
+  const Term a = Term::Iri("http://example.org/a");
+  ASSERT_NE(*db_.dataset().default_graph().dict().Find(a),
+            *db_.dataset().FindNamed("http://example.org/g1")->dict().Find(a));
+  const std::vector<std::string> want = {
+      "<http://example.org/a> \"A in g1\" "};
+  EXPECT_EQ(Bag("SELECT ?s ?l WHERE { ?s ex:p ?v "
+                "GRAPH ex:g1 { ?s ex:label ?l } }"),
+            want);
+  EXPECT_EQ(Bag("SELECT ?s ?l WHERE { ?s ex:p ?v "
+                "GRAPH ?g { ?s ex:label ?l } }"),
+            want);
+  // And back: bound in the named graph, probed in the default one.
+  EXPECT_EQ(Bag("SELECT ?s ?v WHERE { GRAPH ex:g1 { ?s ex:label ?l } "
+                "?s ex:p ?v }"),
+            (std::vector<std::string>{"<http://example.org/a> 1 "}));
+  // DISTINCT over rows bound in different graphs meets them by value.
+  EXPECT_EQ(Bag("SELECT DISTINCT ?s WHERE { { ?s ex:m ?x } UNION "
+                "{ GRAPH ex:g1 { ?s ex:label ?l } } }"),
+            (std::vector<std::string>{"<http://example.org/a> "}));
+}
+
 }  // namespace
 }  // namespace scisparql

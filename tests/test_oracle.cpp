@@ -1,11 +1,12 @@
 // The oracle (tests/oracle/) against hand-computed answers on small graphs
 // — OPTIONAL order cases, closed-world negation through OPTIONAL +
-// !bound, UNION, ORDER BY DESC with OFFSET/LIMIT — and each named
-// divergence class, asserted on the engine and on the oracle with and
-// without the class. A randomized sweep then wraps random BGPs in
-// OPTIONAL, UNION and FILTER and checks the engine against the oracle with
-// every op in the base table, with half of them pending in the delta, and
-// after the fold.
+// !bound, UNION, MINUS, GROUP BY with aggregates and HAVING, ORDER BY DESC
+// with OFFSET/LIMIT — and each named divergence class, asserted on the
+// engine and on the oracle with and without the class. A randomized sweep
+// then wraps random BGPs in OPTIONAL, UNION, FILTER, MINUS, DISTINCT and
+// GROUP BY + COUNT and checks the engine against the oracle with every op
+// in the base table, with half of them pending in the delta, and after
+// the fold.
 
 #include <algorithm>
 #include <random>
@@ -174,10 +175,8 @@ TEST_F(OracleTest, FormsOutsideItsAlgebraAreUnsupported) {
   Load("ex:a ex:v 10 .");
   for (const char* q : {
            "SELECT ?s WHERE { GRAPH ?g { ?s ex:v ?v } }",
-           "SELECT ?s WHERE { ?s ex:v ?v MINUS { ?s ex:w ?v } }",
            "SELECT ?s WHERE { VALUES ?s { ex:a } ?s ex:v ?v }",
-           "SELECT (COUNT(*) AS ?n) WHERE { ?s ex:v ?v }",
-           "SELECT ?s WHERE { ?s ex:v ?v } GROUP BY ?s",
+           "SELECT (GROUP_CONCAT(?v) AS ?c) WHERE { ?s ex:v ?v }",
            "SELECT ?s WHERE { ?s ex:v ?v FILTER EXISTS { ?s ex:v 10 } }",
            "SELECT ?s WHERE { ?s ex:v ?v FILTER (ex:f(?v)) }",
            "SELECT ?s FROM ex:g WHERE { ?s ex:v ?v }",
@@ -187,6 +186,43 @@ TEST_F(OracleTest, FormsOutsideItsAlgebraAreUnsupported) {
     ASSERT_FALSE(r.ok()) << q;
     EXPECT_EQ(r.status().code(), StatusCode::kUnsupported) << q;
   }
+}
+
+TEST_F(OracleTest, MinusDropsOnlyCompatibleMappingsSharingAVariable) {
+  Load("ex:o1 ex:p 1 ; ex:q 5 . ex:o2 ex:p 2 . ex:o3 ex:r 9 .");
+  ExpectBag("SELECT ?s WHERE { ?s ex:p ?v MINUS { ?s ex:q ?w } }",
+            {std::string(kO) + "2> "});
+  // No shared variable: nothing is dropped.
+  ExpectBag("SELECT ?s WHERE { ?s ex:p ?v MINUS { ?t ex:r ?u } }",
+            {std::string(kO) + "1> ", std::string(kO) + "2> "});
+  // Shared but incompatible: ?v is 1 or 2 on the left, 9 on the right.
+  ExpectBag("SELECT ?s WHERE { ?s ex:p ?v MINUS { ?t ex:r ?v } }",
+            {std::string(kO) + "1> ", std::string(kO) + "2> "});
+}
+
+TEST_F(OracleTest, GroupByAggregatesAndHaving) {
+  Load("ex:o1 ex:g ex:x ; ex:v 1 . ex:o2 ex:g ex:x ; ex:v 3 . "
+       "ex:o3 ex:g ex:y ; ex:v 10 . ex:o4 ex:g ex:y ; ex:v 10 . "
+       "ex:o5 ex:g ex:z .");
+  ExpectBag(
+      "SELECT ?g (COUNT(?v) AS ?n) (SUM(?v) AS ?s) (MIN(?v) AS ?lo) "
+      "(MAX(?v) AS ?hi) (COUNT(DISTINCT ?v) AS ?d) (COUNT(*) AS ?all) "
+      "WHERE { ?o ex:g ?g OPTIONAL { ?o ex:v ?v } } GROUP BY ?g",
+      {"<http://example.org/x> 2 4 1 3 2 2 ",
+       "<http://example.org/y> 2 20 10 10 1 2 ",
+       "<http://example.org/z> 0 0 UNDEF UNDEF 0 1 "});
+  ExpectBag(
+      "SELECT ?g (AVG(?v) AS ?a) WHERE { ?o ex:g ?g ; ex:v ?v } GROUP BY ?g",
+      {"<http://example.org/x> " + Term::Double(2).ToString() + " ",
+       "<http://example.org/y> " + Term::Double(10).ToString() + " "});
+  // HAVING sees the aggregates; SAMPLE of a group whose values agree.
+  ExpectBag(
+      "SELECT ?g (SAMPLE(?v) AS ?one) WHERE { ?o ex:g ?g ; ex:v ?v } "
+      "GROUP BY ?g HAVING (COUNT(*) > 1 && MIN(?v) = MAX(?v))",
+      {"<http://example.org/y> 10 "});
+  // Aggregates without GROUP BY: one group, even over no solutions.
+  ExpectBag("SELECT (COUNT(*) AS ?n) WHERE { ?o ex:g ?g }", {"5 "});
+  ExpectBag("SELECT (COUNT(*) AS ?n) WHERE { ?o ex:none ?g }", {"0 "});
 }
 
 // ---------------------------------------------------------------------------
@@ -276,7 +312,9 @@ TEST_F(OracleTest, DivergenceArrayIdentityJoins) {
 // ---------------------------------------------------------------------------
 
 /// The sweep's queries for one random case: its patterns split into an
-/// OPTIONAL, a UNION, a FILTER over a variable, and closed-world negation.
+/// OPTIONAL, a UNION and a MINUS, all of them under DISTINCT, grouped by a
+/// variable and counted, under a FILTER over a variable, and closed-world
+/// negation.
 std::vector<std::string> WrappedQueries(const oracle::RandomCase& rc,
                                         uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -293,8 +331,15 @@ std::vector<std::string> WrappedQueries(const oracle::RandomCase& rc,
       rc.vars.empty() ? "none" : rc.vars[rng() % rc.vars.size()];
   const std::string node =
       "<http://n/" + std::to_string(rng() % 8) + ">";
+  const std::string group =
+      rc.vars.empty() ? "SELECT (COUNT(*) AS ?n) WHERE { " + all + "}"
+                      : "SELECT ?" + var + " (COUNT(*) AS ?n) WHERE { " + all +
+                            "} GROUP BY ?" + var;
   return {
       select + " WHERE { " + head + "OPTIONAL { " + rest + "} }",
+      "SELECT DISTINCT" + select.substr(6) + " WHERE { " + all + "}",
+      group,
+      select + " WHERE { " + head + "MINUS { " + rest + "} }",
       select + " WHERE { { " + head + "} UNION { " + rest + "} }",
       select + " WHERE { " + all + "FILTER (!bound(?" + var + ") || ?" + var +
           " != " + node + ") }",

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -500,6 +501,121 @@ TEST_F(SchedTest, ReadOnlyEngineRejectsWritesKeepsReads) {
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->rows().rows.size(), 1u);
   EXPECT_GE(sched.stats().rejected, 1u);
+}
+
+TEST_F(SchedTest, Sp2bShapesAgreeAcrossThreadsWhileAWriterCommits) {
+  // The eight SP2Bench read shapes on a small DBLP-shaped graph, from four
+  // reader threads under the scheduler while a writer commits batches the
+  // queries do not select (a journal no query names), so every scan merges
+  // a pending delta. Every answer must equal the single-threaded one.
+  std::ostringstream ttl;
+  ttl << "@prefix ex: <http://example.org/> .\n";
+  for (int j = 0; j < 4; ++j) {
+    ttl << "ex:journal_" << j << " ex:title \"Journal " << j << "\" .\n";
+  }
+  for (int a = 0; a < 120; ++a) {
+    ttl << "ex:article_" << a << " a ex:Article ; ex:title \"Article " << a
+        << "\" ; ex:issued " << 1990 + a % 7 << " ; ex:journal ex:journal_"
+        << a % 4 << " ; ex:creator ex:person_" << a % 37 << ", ex:person_"
+        << (a * 7) % 37;
+    if (a % 3 != 0) ttl << " ; ex:month " << 1 + a % 12;
+    ttl << " .\n";
+  }
+  for (int k = 0; k < 2; ++k) {
+    for (int i = 0; i < 20; ++i) {
+      ttl << "ex:paper_" << k << "_" << i << " ex:partOf ex:proc_" << k
+          << " .\n";
+    }
+  }
+  for (int p = 0; p < 37; ++p) {
+    ttl << "ex:person_" << p << " ex:name \"Person " << p << "\" .\n";
+  }
+  ASSERT_TRUE(db_.LoadTurtleString(ttl.str()).ok());
+
+  std::vector<std::string> queries;
+  for (int j = 0; j < 4; ++j) {
+    const std::string pre = "PREFIX ex: <http://example.org/> ";
+    const std::string jn = "ex:journal_" + std::to_string(j);
+    queries.push_back(pre + "SELECT ?a ?t ?y WHERE { ?a a ex:Article ; "
+                      "ex:journal " + jn + " ; ex:title ?t ; ex:issued ?y } "
+                      "ORDER BY DESC(?y) ?t LIMIT 10");
+    queries.push_back(pre + "SELECT ?a ?n WHERE { ?jn ex:title \"Journal " +
+                      std::to_string(j) + "\" . ?a ex:journal ?jn . "
+                      "?a ex:creator ?p . ?p ex:name ?n }");
+    queries.push_back(pre + "SELECT ?a ?m WHERE { ?a ex:journal " + jn +
+                      " . OPTIONAL { ?a ex:month ?m } }");
+    queries.push_back(pre + "SELECT ?a WHERE { ?a ex:journal " + jn +
+                      " . OPTIONAL { ?a ex:month ?m } FILTER (!bound(?m)) }");
+    queries.push_back(pre + "SELECT ?x WHERE { { ?x ex:journal " + jn +
+                      " } UNION { ?x ex:partOf ex:proc_" +
+                      std::to_string(j % 2) + " } }");
+    queries.push_back(pre + "SELECT DISTINCT ?p WHERE { ?a ex:journal " + jn +
+                      " ; ex:creator ?p }");
+    queries.push_back(pre + "ASK { ?a ex:journal " + jn +
+                      " ; ex:creator ex:person_" + std::to_string(j * 5) +
+                      " }");
+    queries.push_back(pre + "SELECT ?y (COUNT(?a) AS ?n) WHERE { ?a "
+                      "ex:journal " + jn + " ; ex:issued ?y } GROUP BY ?y");
+  }
+  auto render = [](const QueryOutcome& out) {
+    if (out.kind() == QueryOutcome::Kind::kAsk) {
+      return std::string(out.ask() ? "true" : "false");
+    }
+    std::vector<std::string> rows;
+    for (const auto& row : out.rows().rows) {
+      std::string r;
+      for (const Term& t : row) r += t.ToString() + " ";
+      rows.push_back(r);
+    }
+    std::sort(rows.begin(), rows.end());
+    std::string all;
+    for (const std::string& r : rows) all += r + "\n";
+    return all;
+  };
+  std::vector<std::string> want;
+  for (const std::string& q : queries) {
+    auto r = db_.Execute(q);
+    ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << q;
+    want.push_back(render(*r));
+  }
+
+  SchedulerOptions options;
+  options.workers = 4;
+  QueryScheduler sched(&db_, options);
+  std::atomic<bool> readers_done{false};
+  std::atomic<int> commits{0};
+  std::thread writer([&] {
+    for (int i = 0; !readers_done.load(); ++i, ++commits) {
+      const std::string noise =
+          "ex:noise_" + std::to_string(i % 8) +
+          " ex:journal ex:journal_9 ; ex:creator ex:person_1 ; "
+          "ex:month 4 ; ex:issued 1991";
+      const std::string verb = i % 16 < 8 ? "INSERT" : "DELETE";
+      auto r = sched.Execute("PREFIX ex: <http://example.org/> " + verb +
+                             " DATA { " + noise + " }");
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+    }
+  });
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      while (commits.load() < 2) std::this_thread::yield();
+      for (int round = 0; round < 3; ++round) {
+        for (size_t q = 0; q < queries.size(); ++q) {
+          const size_t at = (q + static_cast<size_t>(t) * 5) % queries.size();
+          auto r = sched.Execute(queries[at]);
+          if (!r.ok() || render(*r) != want[at]) ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
+  readers_done = true;
+  writer.join();
+  sched.Stop();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(commits.load(), 2);
 }
 
 }  // namespace

@@ -737,5 +737,46 @@ TEST(WritePath, ConcurrentWritesSurviveReopen) {
             static_cast<size_t>(kWriters * kPerWriter));
 }
 
+TEST(WritePath, OptionalArmsReadTheOuterSnapshotWhileAWriterCommits) {
+  // A foreign function called between the outer BGP and its OPTIONAL arm
+  // commits a batch giving every subject an ex:m. The query pinned its
+  // snapshot at its first BGP, so no arm sees the batch, on any row; the
+  // next query does.
+  SSDM db;
+  Graph& g = db.dataset().default_graph();
+  for (int i = 0; i < 20; ++i) {
+    g.Add(I("s" + std::to_string(i)), I("p"), Term::Integer(i));
+  }
+  db.dataset().SetConcurrentWrites(true);
+  int commits = 0;
+  db.RegisterForeign(
+      "http://example.org/commit",
+      [&](std::span<const Term>) -> Result<Term> {
+        if (commits++ == 0) {
+          WriteBatch batch;
+          for (int i = 0; i < 20; ++i) {
+            batch.Add(Triple{I("s" + std::to_string(i)), I("m"),
+                             Term::Integer(99)});
+          }
+          g.Apply(std::move(batch));
+        }
+        return Term::Boolean(true);
+      },
+      0, 1.0);
+  auto r = Query(db,
+                 "PREFIX ex: <http://example.org/> SELECT ?s ?m WHERE { "
+                 "?s ex:p ?v BIND (ex:commit() AS ?c) "
+                 "OPTIONAL { ?s ex:m ?m } }");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 20u);
+  EXPECT_EQ(commits, 20);
+  for (const auto& row : r->rows) EXPECT_TRUE(row[1].IsUndef());
+  auto after = Query(db,
+                     "PREFIX ex: <http://example.org/> "
+                     "SELECT ?s WHERE { ?s ex:m 99 }");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->rows.size(), 20u);
+}
+
 }  // namespace
 }  // namespace scisparql
