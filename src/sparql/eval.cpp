@@ -171,19 +171,19 @@ class Evaluator {
     return CheckInterrupt();
   }
 
+  /// The variable's bound value, or null when unbound.
+  const Term* Lookup(const std::string& var) const {
+    return ctx_.lookup == nullptr ? nullptr : ctx_.lookup(ctx_.lookup_env, var);
+  }
+
   Result<Term> Eval(const Expr& e) {
     switch (e.kind) {
       case Expr::Kind::kTerm:
         return e.term;
       case Expr::Kind::kVar: {
-        if (ctx_.lookup_ref != nullptr) {
-          const Term* v = ctx_.lookup_ref(ctx_.lookup_env, e.var);
-          if (v == nullptr || v->IsUndef()) return Unbound(e.var);
-          return *v;
-        }
-        Term v = ctx_.lookup ? ctx_.lookup(e.var) : Term();
-        if (v.IsUndef()) return Unbound(e.var);
-        return v;
+        const Term* v = Lookup(e.var);
+        if (v == nullptr || v->IsUndef()) return Unbound(e.var);
+        return *v;
       }
       case Expr::Kind::kBinary:
         return EvalBinary(e);
@@ -396,12 +396,8 @@ class Evaluator {
       if (e.args.size() != 1 || e.args[0]->kind != Expr::Kind::kVar) {
         return Status::TypeError("BOUND expects a variable");
       }
-      if (ctx_.lookup_ref != nullptr) {
-        const Term* v = ctx_.lookup_ref(ctx_.lookup_env, e.args[0]->var);
-        return Term::Boolean(v != nullptr && !v->IsUndef());
-      }
-      Term v = ctx_.lookup ? ctx_.lookup(e.args[0]->var) : Term();
-      return Term::Boolean(!v.IsUndef());
+      const Term* v = Lookup(e.args[0]->var);
+      return Term::Boolean(v != nullptr && !v->IsUndef());
     }
     if (fn == "IF") {
       if (e.args.size() != 3) return Status::TypeError("IF expects 3 args");

@@ -27,14 +27,10 @@ struct EvalCounters {
 /// the evaluator can run EXISTS sub-patterns and SciSPARQL-defined
 /// functions without depending on the executor's headers.
 struct EvalContext {
-  /// Looks a variable up in the current solution; Undef when unbound.
-  std::function<Term(const std::string&)> lookup;
-
-  /// Looks a variable up in place, through its slot in the executor's
-  /// current row: the bound value, or null when unbound. Used instead of
-  /// `lookup` when set; `lookup_env` is passed back to it.
-  const Term* (*lookup_ref)(const void* env, const std::string& name) =
-      nullptr;
+  /// Looks a variable up in place in the current solution: the bound
+  /// value, or null when unbound (or when `lookup` is unset). `lookup_env`
+  /// is passed back to it.
+  const Term* (*lookup)(const void* env, const std::string& name) = nullptr;
   const void* lookup_env = nullptr;
 
   /// Evaluates an EXISTS pattern against the current solution.

@@ -219,8 +219,8 @@ class ExecImpl {
     ctx_.query = options_.query;
     ctx_.eval_stats = profile_ ? &eval_counters_ : nullptr;
     ctx_.lookup_env = this;
-    ctx_.lookup_ref = [](const void* env,
-                         const std::string& name) -> const Term* {
+    ctx_.lookup = [](const void* env,
+                     const std::string& name) -> const Term* {
       const ExecImpl* self = static_cast<const ExecImpl*>(env);
       const int s = self->frame_->Find(name);
       if (s < 0 || self->cur_row_ == nullptr) return nullptr;

@@ -659,16 +659,5 @@ Status IdJoin::Run(const IdIndexes& idx, const DeltaIdRuns* delta,
   return run(i, n, emit);
 }
 
-Status ExecuteIdJoin(const IdIndexes& idx, const DeltaIdRuns* delta,
-                     const std::vector<IdPattern>& patterns, size_t max_rows,
-                     const std::function<Status()>& interrupt,
-                     const IdRowSink& emit, IdJoinResult* out) {
-  IdJoin join(patterns);
-  out->slots = join.slots();
-  Status s = join.Run(idx, delta, max_rows, interrupt, emit);
-  out->steps = join.steps();
-  return s;
-}
-
 }  // namespace sparql
 }  // namespace scisparql

@@ -149,26 +149,19 @@ struct IdJoinStep {
   size_t out_rows = 0;      // rows that left this step
 };
 
-/// Layout and profile of one join: every emitted row has one column per
-/// entry of `slots` (column c holds the ID bound to slot `slots[c]`).
-/// `slots` is filled before the first row is emitted.
-struct IdJoinResult {
-  std::vector<int> slots;
-  std::vector<IdJoinStep> steps;
-};
-
 /// Receives each finished join row (`slots.size()` IDs); returning false
 /// stops the join.
 using IdRowSink = std::function<bool(const uint32_t* row)>;
 
-/// Row cap the executor gives ExecuteIdJoin for materialized steps.
+/// Row cap the executor gives IdJoin::Run for materialized steps.
 constexpr size_t kIdJoinMaxRows = size_t{8} << 20;
 
-/// Evaluates a BGP entirely over the sorted ID-tuple permutation indexes.
-/// Patterns execute in the given (planner) order, each one step of the
-/// pipeline. The first triple pattern is a prefix-range index scan over
-/// its constants; each later one joins the accumulated relation by the
-/// operator opt::ChoosePhysicalJoin picks from exact sizes:
+/// A BGP lowered to ID patterns, evaluated entirely over the sorted
+/// ID-tuple permutation indexes. Patterns execute in the given (planner)
+/// order, each one step of the pipeline. The first triple pattern is a
+/// prefix-range index scan over its constants; each later one joins the
+/// accumulated relation by the operator opt::ChoosePhysicalJoin picks from
+/// exact sizes:
 ///   - bind join: for each left row, one PrefixScan keyed by the pattern's
 ///     constants plus the left row's values of the shared slots (SPO for
 ///     (s,p[,o]), POS for (p,o), OSP for (o,s)); consecutive left rows
@@ -204,14 +197,10 @@ constexpr size_t kIdJoinMaxRows = size_t{8} << 20;
 /// merge-join eligibility survives concurrent writes. `interrupt` (may be
 /// null) is polled between operators and inside long loops; its error,
 /// or a path evaluator's, aborts the join.
-Status ExecuteIdJoin(const IdIndexes& idx, const DeltaIdRuns* delta,
-                     const std::vector<IdPattern>& patterns, size_t max_rows,
-                     const std::function<Status()>& interrupt,
-                     const IdRowSink& emit, IdJoinResult* out);
-
-/// ExecuteIdJoin for a BGP lowered once and run many times, as the
-/// executor runs an OPTIONAL arm once per outer row. The layout (`slots`)
-/// is fixed at construction from which positions are slots; between runs
+///
+/// A join is lowered once and may run many times, as the executor runs an
+/// OPTIONAL arm once per outer row. The layout (`slots`) is fixed at
+/// construction from which positions are slots; between runs
 /// the caller may change the constant IDs (`patterns()`), never which
 /// positions are slots. A run keeps its step shapes, probe steps and row
 /// buffer for the next, so a run that materializes no relation — any

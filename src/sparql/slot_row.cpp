@@ -162,11 +162,14 @@ bool CellsEqual(const Cell& a, const Cell& b) {
 }
 
 RowGrouper::RowGrouper(const TermDictionary* dict, size_t width)
-    : dict_(dict), width_(width), scratch_(width) {}
+    : dict_(dict),
+      id_limit_(dict != nullptr ? dict->size() : 0),
+      width_(width),
+      scratch_(width) {}
 
 RowGrouper::Key RowGrouper::Canonical(const Cell& c) const {
   if (!c.bound()) return {};
-  if (c.dict == dict_ && dict_ != nullptr) {
+  if (c.dict == dict_ && c.id < id_limit_) {
     const Term& t = dict_->term(c.id);
     if (!t.IsArray()) return {c.id, nullptr};
     return {TermDictionary::kNoId, &t};
@@ -174,7 +177,8 @@ RowGrouper::Key RowGrouper::Canonical(const Cell& c) const {
   const Term& t = c.value();
   // Arrays intern by object, so their IDs say nothing about their values.
   if (!t.IsArray() && dict_ != nullptr) {
-    if (std::optional<uint32_t> id = dict_->Find(t)) return {*id, nullptr};
+    std::optional<uint32_t> id = dict_->Find(t);
+    if (id.has_value() && *id < id_limit_) return {*id, nullptr};
   }
   return {TermDictionary::kNoId, &t};
 }

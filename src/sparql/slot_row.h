@@ -49,8 +49,10 @@ bool CellsEqual(const Cell& a, const Cell& b);
 /// arrays by elements) — what DISTINCT and GROUP BY compare. A key cell
 /// is canonicalized to an ID of `dict` whenever its value has one, so IDs
 /// from the same dictionary compare as integers, and IDs from another
-/// graph's dictionary or computed terms meet them by value. Open
-/// addressing over the group indices; no per-group node.
+/// graph's dictionary or computed terms meet them by value. Only IDs below
+/// the dictionary's size at construction count: a writer may intern a key's
+/// term partway through grouping, and a value must key the same way before
+/// and after. Open addressing over the group indices; no per-group node.
 class RowGrouper {
  public:
   RowGrouper(const TermDictionary* dict, size_t width);
@@ -70,6 +72,7 @@ class RowGrouper {
   void Grow();
 
   const TermDictionary* dict_;
+  size_t id_limit_;  // IDs at or past it key by term
   size_t width_;
   std::vector<Key> keys_;       // groups() x width_
   std::vector<size_t> hashes_;  // per group

@@ -477,9 +477,11 @@ class Evaluator {
                     const std::map<const ast::Expr*, Term>* aggs =
                         nullptr) const {
     sparql::EvalContext ctx;
-    ctx.lookup = [&m](const std::string& name) {
-      auto it = m.find(name);
-      return it == m.end() ? Term() : it->second;
+    ctx.lookup_env = &m;
+    ctx.lookup = [](const void* env, const std::string& name) -> const Term* {
+      const Mapping& vars = *static_cast<const Mapping*>(env);
+      auto it = vars.find(name);
+      return it == vars.end() ? nullptr : &it->second;
     };
     ctx.agg_values = aggs;
     return sparql::EvalExpr(e, ctx);

@@ -27,9 +27,11 @@ class EvalFixture : public ::testing::Test {
     if (!q.ok()) return q.status();
     EvalContext ctx;
     ctx.registry = &registry_;
-    ctx.lookup = [this](const std::string& name) -> Term {
-      auto it = env_.find(name);
-      return it == env_.end() ? Term() : it->second;
+    ctx.lookup_env = &env_;
+    ctx.lookup = [](const void* env, const std::string& name) -> const Term* {
+      const auto& vars = *static_cast<const std::map<std::string, Term>*>(env);
+      auto it = vars.find(name);
+      return it == vars.end() ? nullptr : &it->second;
     };
     return EvalExpr(*(*q)->projections[0].expr, ctx);
   }

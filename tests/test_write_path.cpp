@@ -778,5 +778,38 @@ TEST(WritePath, OptionalArmsReadTheOuterSnapshotWhileAWriterCommits) {
   EXPECT_EQ(after->rows.size(), 20u);
 }
 
+TEST(WritePath, GroupByKeepsOneGroupWhenAWriterInternsItsKeyMidGrouping) {
+  // Every solution's GROUP BY key is the IRI ex:tag computes. Halfway
+  // through grouping, the function commits a triple that interns that IRI
+  // in the default graph's dictionary. Keys computed before and after the
+  // commit are one value, so they form one group.
+  SSDM db;
+  Graph& g = db.dataset().default_graph();
+  for (int i = 0; i < 20; ++i) {
+    g.Add(I("s" + std::to_string(i)), I("p"), Term::Integer(i));
+  }
+  db.dataset().SetConcurrentWrites(true);
+  int calls = 0;
+  db.RegisterForeign(
+      "http://example.org/tag",
+      [&](std::span<const Term>) -> Result<Term> {
+        if (++calls == 10) {
+          WriteBatch batch;
+          batch.Add(Triple{I("s0"), I("tagged"), I("fresh")});
+          g.Apply(std::move(batch));
+        }
+        return I("fresh");
+      },
+      1, 1.0);
+  auto r = Query(db,
+                 "PREFIX ex: <http://example.org/> "
+                 "SELECT (COUNT(*) AS ?n) WHERE { ?s ex:p ?v } "
+                 "GROUP BY ex:tag(?v)");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(calls, 20);
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][0], Term::Integer(20));
+}
+
 }  // namespace
 }  // namespace scisparql
