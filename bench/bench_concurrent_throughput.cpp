@@ -1,13 +1,13 @@
 // Concurrent-scheduler throughput: queries/sec of the sched::QueryScheduler
-// worker pool at sizes 1, 2, 4 and 8 over a mixed read workload.
+// at 1, 2, 4 and 8 execution slots over a mixed read workload.
 //
 // The workload models the SSDM mediator scenario (Section 5.1 / Chapter 6):
 // part of each client's query mix is pure in-memory SPARQL (joins,
 // aggregates over the RDF graph), and part fetches array data through a
 // *foreign* call whose latency is dominated by the external array store
 // (modeled here as a fixed blocking wait, like a file-system or network
-// round-trip). Reads run under the scheduler's shared lock, so a pool of
-// workers overlaps those waits — which is exactly where the concurrency
+// round-trip). Reads run under the scheduler's shared lock, so several
+// slots overlap those waits — which is exactly where the concurrency
 // pays off, including on a single-core host. Pure-CPU throughput is
 // reported separately for transparency: on one core it cannot exceed 1x.
 //
@@ -916,7 +916,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--mixed] [--replicas N] [--smoke]\n"
-                   "  (no flags)    scheduler worker-pool scaling bench\n"
+                   "  (no flags)    scheduler slot-count scaling bench\n"
                    "  --mixed       concurrent write scaling (group commit "
                    "+ differential index), writes BENCH_write.json\n"
                    "  --replicas N  replication read scaling at 1..N "

@@ -248,9 +248,15 @@ void QueryCache::StorePlan(const std::string& key, CachedPlan plan) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!config_.plan_cache) return;
   // Same bound rationale as PlanMemo: statements are typically few, but a
-  // text-generating client must not grow the map without limit.
-  if (plans_.size() >= 1024) plans_.clear();
-  plans_[key] = std::move(plan);
+  // text-generating client must not grow the map without limit. At the
+  // bound one entry makes room, so the rest keep hitting.
+  auto it = plans_.find(key);
+  if (it != plans_.end()) {
+    it->second = std::move(plan);
+    return;
+  }
+  if (plans_.size() >= kMaxPlans) plans_.erase(plans_.begin());
+  plans_.emplace(key, std::move(plan));
 }
 
 bool QueryCache::DepsValid(const ResultDeps& deps, const Dataset& dataset,

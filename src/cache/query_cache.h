@@ -132,6 +132,9 @@ class QueryCache {
 
   // --- Plan cache. ---
 
+  /// Parsed statements kept at most; storing one more evicts one.
+  static constexpr size_t kMaxPlans = 4096;
+
   bool LookupPlan(const std::string& key, CachedPlan* out);
   void StorePlan(const std::string& key, CachedPlan plan);
 

@@ -109,12 +109,6 @@ Status WriteFrame(int fd, const std::string& payload) {
   return IoStatus(WriteAll(fd, framed.data(), framed.size()), "write frame");
 }
 
-bool PeerClosed(int fd) {
-  char probe;
-  ssize_t r = ::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
-  return r == 0;
-}
-
 Result<int> DialServer(const std::string& host, int port,
                        std::chrono::milliseconds timeout) {
   TransportFaults& faults = TransportFaults::Instance();

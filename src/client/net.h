@@ -38,11 +38,6 @@ Result<std::string> ReadFrame(int fd);
 /// Frames and writes one payload.
 Status WriteFrame(int fd, const std::string& payload);
 
-/// True when the peer has closed its end (half-close or full disconnect).
-/// Pending unread data means the connection is alive (a pipelining
-/// client), so only a clean zero-byte read counts.
-bool PeerClosed(int fd);
-
 /// One TCP dial with `timeout` applied as both socket timeouts (SO_SNDTIMEO
 /// also bounds connect() on Linux, so a black-holed server cannot hang the
 /// client during session setup). The returned fd is registered with

@@ -2,6 +2,8 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -9,7 +11,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <thread>
 
 #include "client/net.h"
@@ -23,7 +24,6 @@ namespace client {
 
 namespace {
 
-using net::PeerClosed;
 using net::ReadFrame;
 using net::WriteFrame;
 
@@ -57,9 +57,17 @@ Result<int> SsdmServer::Start(int port) {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
   if (::listen(listen_fd_, 64) != 0) return Status::IoError("listen() failed");
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC);
+  if (epoll_fd_ < 0 || wake_fd_ < 0) return Status::IoError("epoll failed");
+  epoll_event wake{};
+  wake.events = EPOLLIN;
+  wake.data.u64 = 0;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &wake);
   scheduler_ =
       std::make_unique<sched::QueryScheduler>(engine_, options_.sched);
   running_ = true;
+  watch_thread_ = std::thread([this]() { WatchLoop(); });
   accept_thread_ = std::thread([this]() { AcceptLoop(); });
   return port_;
 }
@@ -71,19 +79,27 @@ void SsdmServer::Stop() {
   ::close(listen_fd_);
   if (accept_thread_.joinable()) accept_thread_.join();
   listen_fd_ = -1;
-  // Shut down live connections: their blocking reads fail, their wait
-  // loops observe !running_ and cancel in-flight queries.
+  // Cancel every in-flight statement first, then shut the sockets so the
+  // blocking reads fail and the connection threads leave their loops.
   std::vector<std::unique_ptr<Connection>> conns;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns.swap(conns_);
   }
+  for (auto& conn : conns) conn->cancel->store(true);
   for (auto& conn : conns) ::shutdown(conn->fd, SHUT_RDWR);
   for (auto& conn : conns) {
     if (conn->thread.joinable()) conn->thread.join();
-    net::ForgetFd(conn->fd);
-    ::close(conn->fd);
   }
+  uint64_t one = 1;
+  ssize_t woke = ::write(wake_fd_, &one, sizeof(one));
+  (void)woke;
+  if (watch_thread_.joinable()) watch_thread_.join();
+  for (auto& conn : conns) CloseConnection(conn.get());
+  ::close(epoll_fd_);
+  ::close(wake_fd_);
+  epoll_fd_ = wake_fd_ = -1;
+  // Every connection thread has returned, so no statement holds a slot.
   if (scheduler_ != nullptr) scheduler_->Stop();
 }
 
@@ -109,9 +125,38 @@ void SsdmServer::AcceptLoop() {
         ::close(fd);
         return;
       }
+      raw->id = next_conn_id_++;
       conns_.push_back(std::move(conn));
+      // Registered only once the watcher can find it in conns_: the watch
+      // is one-shot, so an early hang-up must not be lost. A hang-up ends
+      // the connection, so one event is all it ever needs.
+      epoll_event ev{};
+      ev.events = EPOLLRDHUP | EPOLLONESHOT;
+      ev.data.u64 = raw->id;
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
     }
     raw->thread = std::thread([this, raw]() { ServeConnection(raw); });
+  }
+}
+
+void SsdmServer::WatchLoop() {
+  epoll_event events[16] = {};
+  for (;;) {
+    int n = ::epoll_wait(epoll_fd_, events, 16, -1);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return;
+    }
+    // Connections are looked up by id under conns_mu_, and leave conns_
+    // under it before they are freed, so a stale event is just ignored.
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    for (int i = 0; i < n; ++i) {
+      uint64_t id = events[i].data.u64;
+      if (id == 0) return;  // woken by Stop()
+      for (auto& conn : conns_) {
+        if (conn->id == id) conn->cancel->store(true);
+      }
+    }
   }
 }
 
@@ -130,9 +175,14 @@ void SsdmServer::ReapConnections() {
   }
   for (auto& conn : finished) {
     if (conn->thread.joinable()) conn->thread.join();
-    net::ForgetFd(conn->fd);
-    ::close(conn->fd);
+    CloseConnection(conn.get());
   }
+}
+
+void SsdmServer::CloseConnection(Connection* conn) {
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
+  net::ForgetFd(conn->fd);
+  ::close(conn->fd);
 }
 
 void SsdmServer::ServeConnection(Connection* conn) {
@@ -140,28 +190,30 @@ void SsdmServer::ServeConnection(Connection* conn) {
     Result<std::string> request = ReadFrame(conn->fd);
     if (!request.ok()) break;  // client disconnected
     ++requests_;
-    std::string payload = Dispatch(*request, conn->fd);
+    std::string payload = Dispatch(*request, conn);
     if (!WriteFrame(conn->fd, payload).ok()) break;
   }
   conn->done.store(true);
 }
 
-std::string SsdmServer::Dispatch(const std::string& request, int fd) {
+std::string SsdmServer::Dispatch(const std::string& request,
+                                 Connection* conn) {
   // Replication verbs (marker 0x02) are served by the WAL shipper on this
-  // I/O thread: probe and fetch never touch the engine (the durable-LSN
-  // atomic gates what the segment scan may ship), and the snapshot verb
-  // goes through the scheduler as a read like everything else.
+  // connection thread: probe and fetch never touch the engine (the
+  // durable-LSN atomic gates what the segment scan may ship), and the
+  // snapshot verb goes through the scheduler as a read like everything
+  // else.
   if (!request.empty() && request[0] == repl::kReplMarker) {
     Result<std::string> reply = shipper_->Handle(request, scheduler_.get());
     return reply.ok() ? *reply : ErrorPayload(reply.status());
   }
   // Both request forms funnel into one QueryRequest and one scheduler
-  // submission; only the response encoding differs. The "STATS" verb is
+  // Execute; only the response encoding differs. The "STATS" verb is
   // answered with scheduler counters plus the engine's report; the engine
   // part is produced by the engine's own STATS statement, which classifies
   // as a read — so it goes through the scheduler below and runs under the
   // shared engine lock like any query (no unsynchronized engine access
-  // from this thread).
+  // outside an execution slot).
   bool structured = !request.empty() && request[0] == kStructuredMarker;
   QueryRequest req;
   obs::QueryTrace trace;
@@ -207,32 +259,18 @@ std::string SsdmServer::Dispatch(const std::string& request, int fd) {
         "window; a failover may be in progress"));
   }
 
-  auto cancel = std::make_shared<std::atomic<bool>>(false);
-  req.cancel = cancel;
-  auto promise = std::make_shared<std::promise<Result<QueryOutcome>>>();
-  std::future<Result<QueryOutcome>> future = promise->get_future();
-  Status admitted =
-      scheduler_->Submit(std::move(req), [promise](Result<QueryOutcome> r) {
-        promise->set_value(std::move(r));
-      });
-  if (!admitted.ok()) return ErrorPayload(admitted);
-
-  // While a worker runs the statement, watch for server shutdown and for
-  // the client going away: either flips the cancel flag so the query
-  // stops mid-flight instead of burning a worker for a dead connection.
-  while (future.wait_for(std::chrono::milliseconds(20)) !=
-         std::future_status::ready) {
-    if (!running_.load() || PeerClosed(fd)) {
-      cancel->store(true);
-    }
-  }
-  Result<QueryOutcome> result = future.get();
+  // The statement runs right here once this thread holds an execution
+  // slot. The watcher flips the connection's cancel flag if the client
+  // hangs up meanwhile, and Stop() flips it on shutdown, so the query
+  // stops mid-flight instead of holding a slot for a dead connection.
+  req.cancel = conn->cancel;
+  Result<QueryOutcome> result = scheduler_->Execute(std::move(req));
 
   if (!result.ok()) return ErrorPayload(result.status());
 
   // Semi-synchronous acknowledgement: the ack promises the write survives
   // a failover, which candidate selection (highest applied LSN) can only
-  // honor once some replica actually applied it.
+  // honor once some replica actually applied it. The wait holds no slot.
   if (options_.sync_ack_timeout.count() > 0 && !engine_->replica_mode() &&
       result->kind() == QueryOutcome::Kind::kUpdateCount) {
     uint64_t lsn = std::get<QueryOutcome::UpdateCount>(result->value).lsn;

@@ -22,17 +22,20 @@ namespace client {
 /// client-server deployment mode of Section 5.1 (the Matlab integration of
 /// Chapter 7 talks to SSDM exactly this way). One statement per request.
 ///
-/// Connections are served concurrently: each connection gets an I/O thread
-/// that reads frames and submits statements to a sched::QueryScheduler —
-/// a fixed worker pool behind a bounded admission queue. Read statements
-/// run in parallel under a shared engine lock; updates take it
-/// exclusively. A full queue answers Unavailable ("server overloaded")
-/// instead of queueing unboundedly; a client that disconnects mid-query
-/// has its query cancelled cooperatively.
+/// Connections are served concurrently: each connection gets a thread
+/// that reads a frame, runs the statement itself through
+/// sched::QueryScheduler::Execute once it holds one of the scheduler's
+/// execution slots, and writes the reply — no hand-off to another thread.
+/// Read statements run in parallel under a shared engine lock; updates
+/// and structural statements follow the scheduler's three-class model. A
+/// full wait list answers Unavailable ("server overloaded") instead of
+/// queueing unboundedly. One watcher thread per server waits in epoll for
+/// peers that hang up; a client that disconnects mid-query has its query
+/// cancelled cooperatively.
 class SsdmServer {
  public:
   struct Options {
-    /// Worker pool / admission queue / default per-query deadline.
+    /// Execution slots / wait list / default per-query deadline.
     sched::SchedulerOptions sched;
 
     /// Stable node identity for failover elections; installed into the
@@ -69,12 +72,12 @@ class SsdmServer {
   SsdmServer(const SsdmServer&) = delete;
   SsdmServer& operator=(const SsdmServer&) = delete;
 
-  /// Binds to 127.0.0.1:`port` (0 = ephemeral), starts the scheduler's
-  /// worker pool and the accept thread. Returns the bound port.
+  /// Binds to 127.0.0.1:`port` (0 = ephemeral), starts the scheduler, the
+  /// disconnect watcher and the accept thread. Returns the bound port.
   Result<int> Start(int port = 0);
 
-  /// Stops accepting, shuts down live connections (cancelling their
-  /// in-flight queries), joins all threads and stops the scheduler.
+  /// Stops accepting, cancels every connection's in-flight query and
+  /// shuts its socket, joins all threads and stops the scheduler.
   /// Idempotent.
   void Stop();
 
@@ -97,17 +100,26 @@ class SsdmServer {
 
  private:
   struct Connection {
+    uint64_t id = 0;  ///< The watcher's epoll key; 0 is its wake-up fd.
     int fd = -1;
     std::thread thread;
     std::atomic<bool> done{false};
+    /// Set by the watcher when the peer hangs up, and by Stop(); every
+    /// statement this connection runs observes it.
+    std::shared_ptr<std::atomic<bool>> cancel =
+        std::make_shared<std::atomic<bool>>(false);
   };
 
   void AcceptLoop();
   void ServeConnection(Connection* conn);
+  /// Sets the cancel flag of each connection whose peer hung up.
+  void WatchLoop();
   /// Builds the kind-tagged response payload for one request.
-  std::string Dispatch(const std::string& request, int fd);
+  std::string Dispatch(const std::string& request, Connection* conn);
   /// Joins finished connection threads (called from the accept loop).
   void ReapConnections();
+  /// Takes a connection off the watcher and closes its socket.
+  void CloseConnection(Connection* conn);
 
   SSDM* engine_;
   Options options_;
@@ -121,6 +133,11 @@ class SsdmServer {
 
   std::mutex conns_mu_;
   std::vector<std::unique_ptr<Connection>> conns_;
+  uint64_t next_conn_id_ = 1;  // guarded by conns_mu_
+
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd that ends WatchLoop
+  std::thread watch_thread_;
 };
 
 /// Client side: connects to an SsdmServer and executes statements. Offers

@@ -129,12 +129,35 @@ bool SSDM::NeedsExclusiveRetry(const Status& st) {
 
 namespace {
 
-/// Per-statement-kind execution counters (registered once, bumped with one
-/// sharded atomic add per statement).
-obs::Counter& StatementCounter(const char* kind) {
-  return obs::DefaultMetrics().GetCounter(
-      "ssdm_statements_total", std::string("kind=\"") + kind + "\"",
-      "Statements executed by the engine, by statement kind.");
+/// Per-statement-kind execution counters. The handles are looked up once,
+/// so a statement costs one sharded atomic add and never takes the
+/// registry's mutex.
+struct StatementCounters {
+  obs::Counter& select;
+  obs::Counter& ask;
+  obs::Counter& construct;
+  obs::Counter& describe;
+  obs::Counter& update;
+  obs::Counter& define;
+  obs::Counter& prepare;
+  obs::Counter& checkpoint;
+  obs::Counter& info;
+};
+
+const StatementCounters& Statements() {
+  static const StatementCounters* counters = [] {
+    auto kind = [](const char* name) -> obs::Counter& {
+      return obs::DefaultMetrics().GetCounter(
+          "ssdm_statements_total", std::string("kind=\"") + name + "\"",
+          "Statements executed by the engine, by statement kind.");
+    };
+    return new StatementCounters{kind("select"),     kind("ask"),
+                                 kind("construct"),  kind("describe"),
+                                 kind("update"),     kind("define"),
+                                 kind("prepare"),    kind("checkpoint"),
+                                 kind("info")};
+  }();
+  return *counters;
 }
 
 }  // namespace
@@ -214,7 +237,7 @@ Result<QueryOutcome> SSDM::RunQueryForm(const ast::SelectQuery& q,
   switch (q.form) {
     case ast::SelectQuery::Form::kSelect: {
       SCISPARQL_ASSIGN_OR_RETURN(sparql::QueryResult rows, exec.Select(q));
-      StatementCounter("select").Add();
+      Statements().select.Add();
       if (exec_span != nullptr) {
         exec_span->SetAttr("rows", static_cast<int64_t>(rows.rows.size()));
       }
@@ -222,12 +245,12 @@ Result<QueryOutcome> SSDM::RunQueryForm(const ast::SelectQuery& q,
     }
     case ast::SelectQuery::Form::kAsk: {
       SCISPARQL_ASSIGN_OR_RETURN(bool b, exec.Ask(q));
-      StatementCounter("ask").Add();
+      Statements().ask.Add();
       return QueryOutcome{b};
     }
     case ast::SelectQuery::Form::kConstruct: {
       SCISPARQL_ASSIGN_OR_RETURN(Graph g, exec.Construct(q));
-      StatementCounter("construct").Add();
+      Statements().construct.Add();
       if (exec_span != nullptr) {
         exec_span->SetAttr("triples", static_cast<int64_t>(g.size()));
       }
@@ -235,7 +258,7 @@ Result<QueryOutcome> SSDM::RunQueryForm(const ast::SelectQuery& q,
     }
     case ast::SelectQuery::Form::kDescribe: {
       SCISPARQL_ASSIGN_OR_RETURN(Graph g, exec.Describe(q));
-      StatementCounter("describe").Add();
+      Statements().describe.Add();
       return QueryOutcome{std::move(g)};
     }
   }
@@ -265,8 +288,8 @@ Result<QueryOutcome> SSDM::RunPrepared(const std::string& name,
   if (use_result_cache) {
     QueryOutcome hit;
     if (cache_.LookupResult(key, dataset_, registry_.generation(), &hit)) {
-      StatementCounter(hit.kind() == QueryOutcome::Kind::kAsk ? "ask"
-                                                              : "select")
+      (hit.kind() == QueryOutcome::Kind::kAsk ? Statements().ask
+                                                : Statements().select)
           .Add();
       return hit;
     }
@@ -347,25 +370,25 @@ Result<QueryOutcome> SSDM::Execute(const QueryRequest& req,
   };
   std::string head = leading_word(trimmed);
   if (head == "STATS" && head.size() == trimmed.size()) {
-    StatementCounter("info").Add();
+    Statements().info.Add();
     return QueryOutcome{QueryOutcome::Info{StatsReport()}};
   }
   if (head == "METRICS" && head.size() == trimmed.size()) {
-    StatementCounter("info").Add();
+    Statements().info.Add();
     return QueryOutcome{
         QueryOutcome::Info{obs::DefaultMetrics().RenderPrometheusText()}};
   }
   if (head == "REPL" && trimmed.size() > head.size()) {
     std::string verb =
         leading_word(StripWhitespace(trimmed.substr(head.size())));
-    StatementCounter("info").Add();
+    Statements().info.Add();
     return ExecuteReplStatement(verb);
   }
   // CHECKPOINT is deliberately absent from ClassifyStatement's read list,
   // so the scheduler runs it under the exclusive lock like any update.
   if (head == "CHECKPOINT" && head.size() == trimmed.size()) {
     SCISPARQL_ASSIGN_OR_RETURN(std::string summary, Checkpoint());
-    StatementCounter("checkpoint").Add();
+    Statements().checkpoint.Add();
     return QueryOutcome{QueryOutcome::Info{std::move(summary)}};
   }
   if (head == "EXPLAIN" && trimmed.size() > head.size()) {
@@ -381,10 +404,10 @@ Result<QueryOutcome> SSDM::Execute(const QueryRequest& req,
       sub.trace_sink = &trace;
       SCISPARQL_ASSIGN_OR_RETURN(QueryOutcome sub_out, Execute(sub, ctx));
       (void)sub_out;
-      StatementCounter("info").Add();
+      Statements().info.Add();
       return QueryOutcome{QueryOutcome::Info{trace.Render()}};
     }
-    StatementCounter("info").Add();
+    Statements().info.Add();
     SCISPARQL_ASSIGN_OR_RETURN(std::string plan,
                                Explain(std::string(rest)));
     return QueryOutcome{QueryOutcome::Info{std::move(plan)}};
@@ -412,8 +435,8 @@ Result<QueryOutcome> SSDM::Execute(const QueryRequest& req,
     QueryOutcome hit;
     if (cache_.LookupResult(cache_key, dataset_, registry_.generation(),
                             &hit)) {
-      StatementCounter(hit.kind() == QueryOutcome::Kind::kAsk ? "ask"
-                                                              : "select")
+      (hit.kind() == QueryOutcome::Kind::kAsk ? Statements().ask
+                                                : Statements().select)
           .Add();
       return hit;
     }
@@ -468,7 +491,7 @@ Result<QueryOutcome> SSDM::Execute(const QueryRequest& req,
 
   if (auto* def = std::get_if<ast::FunctionDef>(&stmt.node)) {
     SCISPARQL_RETURN_NOT_OK(registry_.Define(*def));
-    StatementCounter("define").Add();
+    Statements().define.Add();
     // The generation bump makes result entries that called registry
     // functions stale; drop them now so the counters move with the DEFINE.
     cache_.Sweep(dataset_, registry_.generation());
@@ -478,7 +501,7 @@ Result<QueryOutcome> SSDM::Execute(const QueryRequest& req,
     SCISPARQL_RETURN_NOT_OK(cache_.DefinePrepared(
         prep->name, prep->params,
         std::shared_ptr<const ast::SelectQuery>(prep->body)));
-    StatementCounter("prepare").Add();
+    Statements().prepare.Add();
     return QueryOutcome{QueryOutcome::UpdateCount{0}};
   }
   if (auto* call = std::get_if<ast::ExecuteStmt>(&stmt.node)) {
@@ -524,7 +547,7 @@ Result<QueryOutcome> SSDM::Execute(const QueryRequest& req,
     }
     SCISPARQL_RETURN_NOT_OK(updated.status());
     int64_t n = *updated;
-    StatementCounter("update").Add();
+    Statements().update.Add();
     if (exec_span != nullptr) exec_span->SetAttr("triples_touched", n);
     if (update->kind == ast::UpdateOp::Kind::kClear && update->clear_all) {
       // CLEAR ALL destroys the named graph objects: epoch-bump both cache

@@ -203,7 +203,7 @@ class SSDM {
   /// write-class statements under its shared lock. The last EndConcurrent-
   /// Writes folds all pending deltas and returns graphs to base mode; the
   /// caller must hold the engine exclusively for that final call (the
-  /// scheduler calls it from Stop after the workers are joined).
+  /// scheduler calls it from Stop once no execution slot is held).
   void BeginConcurrentWrites();
   void EndConcurrentWrites();
 

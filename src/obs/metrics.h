@@ -21,9 +21,9 @@ bool Enabled();
 void SetEnabled(bool on);
 
 /// Number of atomic shards per metric. Writers pick a shard from a
-/// thread-local index, so concurrent workers update disjoint cache lines;
-/// readers merge all shards. 16 comfortably covers the scheduler's default
-/// worker pool without making reads expensive.
+/// thread-local index, so concurrent statements update disjoint cache
+/// lines; readers merge all shards. 16 comfortably covers the scheduler's
+/// default number of execution slots without making reads expensive.
 constexpr size_t kMetricShards = 16;
 
 /// Stable per-thread shard index in [0, kMetricShards).

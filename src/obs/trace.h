@@ -14,7 +14,7 @@ namespace obs {
 /// One node of a query's trace tree: a named phase or operator with wall
 /// and thread-CPU time plus free-form attributes (rows in/out, estimated
 /// cardinality, ...). Spans are owned by their parent; the tree is built
-/// by one thread (the worker executing the query) and read after the
+/// by one thread (the one executing the query) and read after the
 /// query finishes, so no synchronization is needed.
 struct TraceSpan {
   std::string name;

@@ -37,8 +37,9 @@ struct QueryContext {
   /// Absolute deadline; `Clock::time_point::max()` means none.
   Clock::time_point deadline = Clock::time_point::max();
 
-  /// Shared so a connection handler can flip it after the query was handed
-  /// to a worker. Null means not cancellable.
+  /// Shared so another thread can flip it while the query runs (a
+  /// server's disconnect watcher, or its Stop). Null means not
+  /// cancellable.
   std::shared_ptr<std::atomic<bool>> cancel;
 
   /// True when the statement runs with the engine held exclusively (no

@@ -1,6 +1,6 @@
 #include "sched/scheduler.h"
 
-#include <future>
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -32,10 +32,10 @@ SchedMetrics& Metrics() {
   obs::MetricsRegistry& reg = obs::DefaultMetrics();
   static SchedMetrics* m = new SchedMetrics{
       reg.GetCounter("ssdm_sched_admitted_total", "",
-                     "Statements accepted into the admission queue."),
+                     "Statements admitted for execution."),
       reg.GetCounter("ssdm_sched_rejected_total", "",
-                     "Statements rejected at admission (queue full or "
-                     "scheduler stopped)."),
+                     "Statements rejected at admission (wait list full "
+                     "or scheduler stopped)."),
       reg.GetCounter("ssdm_sched_completed_total", "",
                      "Scheduled statements that finished OK."),
       reg.GetCounter("ssdm_sched_failed_total", "",
@@ -51,10 +51,10 @@ SchedMetrics& Metrics() {
                      "Background folds of differential indexes into the "
                      "base indexes."),
       reg.GetGauge("ssdm_sched_queue_depth", "",
-                   "Tasks waiting in the admission queue right now."),
+                   "Statements waiting for an execution slot right now."),
       reg.GetHistogram("ssdm_sched_wait_micros", "",
-                       "Time from admission to a worker picking the task "
-                       "up, in microseconds."),
+                       "Time from admission to holding an execution slot, "
+                       "in microseconds."),
       reg.GetHistogram("ssdm_query_micros", "class=\"read\"",
                        "End-to-end execution latency of scheduled "
                        "statements, in microseconds, by concurrency class."),
@@ -63,6 +63,13 @@ SchedMetrics& Metrics() {
                        "statements, in microseconds, by concurrency class."),
   };
   return *m;
+}
+
+/// Structured prepared calls have no text to classify; they always run a
+/// PREPARE'd query body, so they are reads.
+StatementClass ClassOf(const QueryRequest& req) {
+  return req.prepared.has_value() ? StatementClass::kRead
+                                  : SSDM::ClassifyStatement(req.text);
 }
 
 }  // namespace
@@ -89,11 +96,11 @@ QueryScheduler::QueryScheduler(SSDM* engine, SchedulerOptions options)
       }()) {
   running_ = true;
   // While the scheduler is attached, updates go through the differential
-  // write path so the workers can run them under the shared lock.
+  // write path so statements can run them under the shared lock.
   engine_->BeginConcurrentWrites();
-  workers_.reserve(static_cast<size_t>(options_.workers));
+  pool_.reserve(static_cast<size_t>(options_.workers));
   for (int i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this]() { WorkerLoop(); });
+    pool_.emplace_back([this]() { PoolLoop(); });
   }
   compactor_ = std::thread([this]() { CompactorLoop(); });
 }
@@ -101,163 +108,215 @@ QueryScheduler::QueryScheduler(SSDM* engine, SchedulerOptions options)
 QueryScheduler::~QueryScheduler() { Stop(); }
 
 void QueryScheduler::Stop() {
-  std::deque<Task> orphaned;
+  std::vector<std::unique_ptr<Task>> orphaned;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!running_) return;
     running_ = false;
-    orphaned.swap(queue_);
-  }
-  cv_.notify_all();
-  compact_cv_.notify_all();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
-  if (compactor_.joinable()) compactor_.join();
-  // Workers and compactor are gone, so the engine is held exclusively by
-  // this thread in effect; the final release folds remaining deltas and
-  // returns the graphs to base mode.
-  engine_->EndConcurrentWrites();
-  for (Task& t : orphaned) {
-    if (t.done) t.done(Status::Unavailable("scheduler stopped"));
-  }
-}
-
-Status QueryScheduler::Submit(QueryRequest req, OutcomeCallback done) {
-  // Cached-read fast path: an untraced read whose outcome is still valid
-  // in the engine's result cache is served inline without queueing. The
-  // shared-lock probe is non-blocking — if a writer holds the engine, the
-  // request just takes the normal admission path.
-  if (req.trace_sink == nullptr && done != nullptr) {
-    bool is_read =
-        req.prepared.has_value() ||
-        SSDM::ClassifyStatement(req.text) == StatementClass::kRead;
-    if (is_read && engine_mu_.try_lock_shared()) {
-      QueryOutcome hit;
-      bool served = engine_->TryCachedResult(req, &hit);
-      engine_mu_.unlock_shared();
-      if (served) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          if (!running_) {
-            ++stats_.rejected;
-            Metrics().rejected.Add();
-            return Status::Unavailable("scheduler stopped");
-          }
-          ++stats_.cache_fast_path;
-        }
-        done(std::move(hit));
-        return Status::OK();
+    // Waiting Execute callers return Unavailable on their own threads;
+    // waiting Submit tasks are failed below, once the engine is released.
+    for (Task* t : waiters_) {
+      if (t->done) {
+        orphaned.emplace_back(t);
+      } else {
+        t->slot = Task::Slot::kRefused;
+        t->granted.notify_one();
       }
     }
+    waiters_.clear();
+    stats_.queue_depth = 0;
+    Metrics().queue_depth.Set(0);
   }
-  QueryContext ctx;
-  if (req.timeout.count() > 0) {
-    ctx = QueryContext::WithTimeout(req.timeout);
+  ready_cv_.notify_all();
+  compact_cv_.notify_all();
+  for (std::thread& t : pool_) {
+    if (t.joinable()) t.join();
   }
-  ctx.cancel = req.cancel;
-  return SubmitTask(std::move(req), std::move(ctx), std::move(done));
+  pool_.clear();
+  if (compactor_.joinable()) compactor_.join();
+  {
+    // Execute callers still running hold their slots; the engine leaves
+    // concurrent-write mode only once every statement is out of it.
+    std::unique_lock<std::mutex> lock(mu_);
+    idle_cv_.wait(lock, [this]() { return busy_ == 0; });
+  }
+  // No statement and no compactor is left, so the engine is held
+  // exclusively by this thread in effect; the final release folds
+  // remaining deltas and returns the graphs to base mode.
+  engine_->EndConcurrentWrites();
+  for (auto& t : orphaned) t->done(Status::Unavailable("scheduler stopped"));
 }
 
-Status QueryScheduler::SubmitTask(QueryRequest req, QueryContext ctx,
-                                  OutcomeCallback done) {
-  if (!ctx.has_deadline() && options_.default_timeout.count() > 0) {
-    ctx.deadline = QueryContext::Clock::now() + options_.default_timeout;
+bool QueryScheduler::ServeFromCache(const QueryRequest& req,
+                                    StatementClass cls,
+                                    Result<QueryOutcome>* out) {
+  // An untraced read whose outcome is still valid in the engine's result
+  // cache is served without a slot. The shared-lock probe is non-blocking
+  // — if a writer holds or awaits the engine, the request just takes the
+  // normal admission path — and it is released before any slot is taken,
+  // so no thread ever holds the shared side twice.
+  if (req.trace_sink != nullptr || cls != StatementClass::kRead ||
+      !engine_mu_.try_lock_shared()) {
+    return false;
   }
-  Task task;
-  // Structured prepared calls have no text to classify; they always run a
-  // PREPARE'd query body, so they are reads.
-  task.cls = req.prepared.has_value() ? StatementClass::kRead
-                                      : SSDM::ClassifyStatement(req.text);
-  task.req = std::move(req);
-  task.ctx = std::move(ctx);
-  task.done = std::move(done);
-  task.enqueued = std::chrono::steady_clock::now();
-  // Degraded or replica-mode engines reject writers at admission so they
-  // don't occupy queue slots (reads keep flowing under the shared lock).
-  // The engine re-checks at execution for writes already queued when the
-  // flip happened.
-  if (task.cls != StatementClass::kRead && engine_->rejects_writes()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.rejected;
-    Metrics().rejected.Add();
-    return Status::Unavailable(engine_->write_reject_reason());
-  }
+  QueryOutcome hit;
+  bool served = engine_->TryCachedResult(req, &hit);
+  engine_mu_.unlock_shared();
+  if (!served) return false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!running_) {
       ++stats_.rejected;
       Metrics().rejected.Add();
-      return Status::Unavailable("scheduler stopped");
+      *out = Status::Unavailable("scheduler stopped");
+      return true;
     }
-    if (queue_.size() >= options_.queue_capacity) {
-      ++stats_.rejected;
-      Metrics().rejected.Add();
-      return Status::Unavailable("server overloaded: admission queue full");
-    }
-    queue_.push_back(std::move(task));
-    ++stats_.admitted;
-    stats_.queue_depth = queue_.size();
-    if (queue_.size() > stats_.queue_high_water) {
-      stats_.queue_high_water = queue_.size();
-    }
-    Metrics().admitted.Add();
-    Metrics().queue_depth.Set(static_cast<int64_t>(queue_.size()));
+    ++stats_.cache_fast_path;
   }
-  cv_.notify_one();
+  *out = std::move(hit);
+  return true;
+}
+
+Status QueryScheduler::Submit(QueryRequest req, OutcomeCallback done) {
+  // An empty `done` marks an Execute task, so a caller that wants no
+  // answer still gets a pool thread to run its statement.
+  if (done == nullptr) done = [](Result<QueryOutcome>) {};
+  StatementClass cls = ClassOf(req);
+  Result<QueryOutcome> cached = Status::OK();
+  if (ServeFromCache(req, cls, &cached)) {
+    if (!cached.ok()) return cached.status();
+    done(std::move(cached));
+    return Status::OK();
+  }
+  auto task = std::make_unique<Task>();
+  Prepare(std::move(req), cls, task.get());
+  task->done = std::move(done);
+  SCISPARQL_RETURN_NOT_OK(Admit(task.get()));
+  task.release();  // a pool thread or Stop() owns it now
   return Status::OK();
 }
 
 Result<QueryOutcome> QueryScheduler::Execute(QueryRequest req) {
-  auto promise = std::make_shared<std::promise<Result<QueryOutcome>>>();
-  std::future<Result<QueryOutcome>> future = promise->get_future();
-  Status admitted = Submit(std::move(req), [promise](Result<QueryOutcome> r) {
-    promise->set_value(std::move(r));
+  StatementClass cls = ClassOf(req);
+  Result<QueryOutcome> cached = Status::OK();
+  if (ServeFromCache(req, cls, &cached)) return cached;
+  Task task;
+  Prepare(std::move(req), cls, &task);
+  SCISPARQL_RETURN_NOT_OK(Admit(&task));
+  return RunGranted(task);
+}
+
+void QueryScheduler::Prepare(QueryRequest req, StatementClass cls,
+                             Task* task) const {
+  if (req.timeout.count() > 0) {
+    task->ctx = QueryContext::WithTimeout(req.timeout);
+  } else if (options_.default_timeout.count() > 0) {
+    task->ctx = QueryContext::WithTimeout(options_.default_timeout);
+  }
+  task->ctx.cancel = req.cancel;
+  task->cls = cls;
+  task->req = std::move(req);
+  task->admitted = std::chrono::steady_clock::now();
+}
+
+Status QueryScheduler::Admit(Task* task) {
+  // Degraded or replica-mode engines reject writers at admission so they
+  // don't occupy the wait list (reads keep flowing under the shared lock).
+  // The engine re-checks at execution for writes already waiting when the
+  // flip happened.
+  bool reject_write =
+      task->cls != StatementClass::kRead && engine_->rejects_writes();
+  std::unique_lock<std::mutex> lock(mu_);
+  Status refused;
+  if (reject_write) {
+    refused = Status::Unavailable(engine_->write_reject_reason());
+  } else if (!running_) {
+    refused = Status::Unavailable("scheduler stopped");
+  } else if (busy_ >= options_.workers &&
+             waiters_.size() >= options_.queue_capacity) {
+    refused = Status::Unavailable("server overloaded: admission queue full");
+  }
+  if (!refused.ok()) {
+    ++stats_.rejected;
+    Metrics().rejected.Add();
+    return refused;
+  }
+  ++stats_.admitted;
+  Metrics().admitted.Add();
+  if (busy_ < options_.workers && waiters_.empty()) {
+    ++busy_;
+    GrantLocked(task);
+    return Status::OK();
+  }
+  waiters_.push_back(task);
+  stats_.queue_depth = waiters_.size();
+  stats_.queue_high_water = std::max(stats_.queue_high_water,
+                                     stats_.queue_depth);
+  Metrics().queue_depth.Set(static_cast<int64_t>(waiters_.size()));
+  if (task->done) return Status::OK();
+  task->granted.wait(lock, [task]() {
+    return task->slot != Task::Slot::kWaiting;
   });
-  if (!admitted.ok()) return admitted;
-  return future.get();
+  if (task->slot == Task::Slot::kRefused) {
+    return Status::Unavailable("scheduler stopped");
+  }
+  return Status::OK();
+}
+
+void QueryScheduler::GrantLocked(Task* task) {
+  task->slot = Task::Slot::kGranted;
+  if (task->done) {
+    ready_.emplace_back(task);
+    ready_cv_.notify_one();
+  } else {
+    task->granted.notify_one();
+  }
 }
 
 Status QueryScheduler::ExecuteExclusive(
     const std::function<Status(SSDM*)>& fn) {
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  std::unique_lock<EngineLock> lock(engine_mu_);
   return fn(engine_);
 }
 
-void QueryScheduler::WorkerLoop() {
+void QueryScheduler::PoolLoop() {
   for (;;) {
-    Task task;
+    std::unique_ptr<Task> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this]() { return !running_ || !queue_.empty(); });
-      if (!running_) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      stats_.queue_depth = queue_.size();
-      Metrics().queue_depth.Set(static_cast<int64_t>(queue_.size()));
+      ready_cv_.wait(lock, [this]() { return !running_ || !ready_.empty(); });
+      // A task granted a slot before Stop() still runs: it left the wait
+      // list, so nothing else would answer it.
+      if (ready_.empty()) return;
+      task = std::move(ready_.front());
+      ready_.pop_front();
     }
-    auto start = std::chrono::steady_clock::now();
-    Metrics().wait_micros.Observe(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            start - task.enqueued)
-            .count()));
-    Result<QueryOutcome> result = RunTask(task);
-    auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::steady_clock::now() - start);
-    FinishTask(task, result.status(), elapsed);
-    if (task.done) task.done(std::move(result));
+    Result<QueryOutcome> result = RunGranted(*task);
+    task->done(std::move(result));
   }
 }
 
+Result<QueryOutcome> QueryScheduler::RunGranted(const Task& task) {
+  auto start = std::chrono::steady_clock::now();
+  Metrics().wait_micros.Observe(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(start -
+                                                            task.admitted)
+          .count()));
+  Result<QueryOutcome> result = RunTask(task);
+  Finish(task, result.status(),
+         std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - start));
+  return result;
+}
+
 Result<QueryOutcome> QueryScheduler::RunTask(const Task& task) {
-  // A query that spent its whole deadline waiting in the queue fails
+  // A query that spent its whole deadline waiting for a slot fails
   // without touching the engine (and without taking the shared lock).
   Status preflight = task.ctx.Check();
   if (!preflight.ok()) return preflight;
 
   if (task.cls == StatementClass::kRead) {
-    std::shared_lock<std::shared_mutex> lock(engine_mu_);
+    std::shared_lock<EngineLock> lock(engine_mu_);
     return engine_->Execute(task.req, &task.ctx);
   }
   if (task.cls == StatementClass::kWrite) {
@@ -265,7 +324,7 @@ Result<QueryOutcome> QueryScheduler::RunTask(const Task& task) {
     // exclusivity bit cleared; the engine appends into per-graph deltas
     // and group-commits the WAL batch alongside concurrent writers.
     {
-      std::shared_lock<std::shared_mutex> lock(engine_mu_);
+      std::shared_lock<EngineLock> lock(engine_mu_);
       QueryContext shared_ctx = task.ctx;
       shared_ctx.exclusive = false;
       Result<QueryOutcome> r = engine_->Execute(task.req, &shared_ctx);
@@ -279,7 +338,7 @@ Result<QueryOutcome> QueryScheduler::RunTask(const Task& task) {
     }
     Metrics().escalated.Add();
   }
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  std::unique_lock<EngineLock> lock(engine_mu_);
   return engine_->Execute(task.req, &task.ctx);
 }
 
@@ -294,12 +353,12 @@ void QueryScheduler::CompactorLoop() {
     // so even the cheap read needs the shared lock.
     size_t pending = 0;
     {
-      std::shared_lock<std::shared_mutex> engine_lock(engine_mu_);
+      std::shared_lock<EngineLock> engine_lock(engine_mu_);
       pending = engine_->PendingDeltaOps();
     }
     size_t folded = 0;
     if (pending >= options_.compact_threshold) {
-      std::unique_lock<std::shared_mutex> engine_lock(engine_mu_);
+      std::unique_lock<EngineLock> engine_lock(engine_mu_);
       folded = engine_->FoldDeltas();
     }
     lock.lock();
@@ -310,8 +369,8 @@ void QueryScheduler::CompactorLoop() {
   }
 }
 
-void QueryScheduler::FinishTask(const Task& task, const Status& status,
-                                std::chrono::microseconds elapsed) {
+void QueryScheduler::Finish(const Task& task, const Status& status,
+                            std::chrono::microseconds elapsed) {
   uint64_t micros = static_cast<uint64_t>(elapsed.count());
   if (task.cls == StatementClass::kRead) {
     Metrics().read_micros.Observe(micros);
@@ -344,6 +403,16 @@ void QueryScheduler::FinishTask(const Task& task, const Status& status,
     ++stats_.cancelled;
   } else {
     ++stats_.failed;
+  }
+  // The slot passes straight to the head waiter, if any.
+  if (!waiters_.empty()) {
+    Task* next = waiters_.front();
+    waiters_.pop_front();
+    stats_.queue_depth = waiters_.size();
+    Metrics().queue_depth.Set(static_cast<int64_t>(waiters_.size()));
+    GrantLocked(next);
+  } else if (--busy_ == 0 && !running_) {
+    idle_cv_.notify_all();
   }
 }
 

@@ -6,14 +6,15 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/status.h"
 #include "engine/ssdm.h"
+#include "sched/engine_lock.h"
 #include "sched/query_context.h"
 
 namespace scisparql {
@@ -21,11 +22,14 @@ namespace sched {
 
 /// Tuning knobs for the query scheduler.
 struct SchedulerOptions {
-  /// Fixed worker-pool size (clamped to >= 1).
+  /// Execution slots: how many statements run inside the engine at once
+  /// (clamped to >= 1). Execute runs its statement on the calling thread
+  /// once that thread holds a slot; Submit's statements run on a pool of
+  /// this many threads, through the same slots.
   int workers = 4;
 
-  /// Admission-queue bound: statements submitted while this many are
-  /// already waiting are rejected with Unavailable instead of queueing
+  /// Wait-list bound: statements admitted while this many are already
+  /// waiting for a slot are rejected with Unavailable instead of queueing
   /// unboundedly (backpressure toward the clients).
   size_t queue_capacity = 64;
 
@@ -46,8 +50,8 @@ struct SchedulerOptions {
 /// SsdmServer accessors. Latency sums are wall-clock execution time (lock
 /// wait included — that *is* the latency a client observes) per class.
 struct SchedulerStats {
-  uint64_t admitted = 0;    ///< Accepted into the queue.
-  uint64_t rejected = 0;    ///< Turned away at admission (queue full).
+  uint64_t admitted = 0;    ///< Accepted for execution.
+  uint64_t rejected = 0;    ///< Turned away at admission (wait list full).
   uint64_t completed = 0;   ///< Executed and returned OK.
   uint64_t failed = 0;      ///< Executed and returned a non-OK status.
   uint64_t timed_out = 0;   ///< Ended with DeadlineExceeded (incl. in queue).
@@ -58,20 +62,26 @@ struct SchedulerStats {
                             ///< (needed to create a named graph etc.).
   uint64_t compactions = 0;  ///< Background delta folds into the base
                              ///< indexes.
-  uint64_t cache_fast_path = 0;  ///< Reads served from the result cache at
-                                 ///< Submit, skipping the admission queue.
+  uint64_t cache_fast_path = 0;  ///< Reads served from the result cache
+                                 ///< before admission, holding no slot.
   uint64_t read_micros = 0;   ///< Sum of read execution latencies (us).
   uint64_t write_micros = 0;  ///< Sum of write execution latencies (us).
-  size_t queue_depth = 0;       ///< Waiting tasks right now.
-  size_t queue_high_water = 0;  ///< Deepest the queue has been.
+  size_t queue_depth = 0;       ///< Statements waiting for a slot now.
+  size_t queue_high_water = 0;  ///< Longest the wait list has been.
 
   /// "admitted=12 rejected=0 ..." — the STATS verb payload.
   std::string ToString() const;
 };
 
-/// Concurrent query scheduler for an SSDM engine: a fixed-size worker pool
-/// fed by a bounded admission queue, a three-class concurrency model over
-/// the engine, per-query deadlines and cooperative cancellation.
+/// Concurrent query scheduler for an SSDM engine: `workers` execution
+/// slots behind a bounded FIFO wait list, a three-class concurrency model
+/// over the engine, per-query deadlines and cooperative cancellation.
+///
+/// A statement runs on the thread that holds its slot. Execute runs it on
+/// the caller's own thread, so a server's connection thread reads a
+/// request, executes it and writes the reply with no hand-off; Submit
+/// hands it to a pool thread. A freed slot goes straight to the head of
+/// the wait list.
 ///
 /// Reads run in parallel under the shared lock. Write-class statements
 /// (INSERT/DELETE updates) ALSO run under the shared lock: while the
@@ -82,7 +92,9 @@ struct SchedulerStats {
 /// graph) is re-run under the exclusive lock (SchedulerStats::escalated).
 /// Exclusive-class statements (LOAD, CLEAR, DEFINE, PREPARE, CHECKPOINT)
 /// take the lock exclusively. A background compactor folds accumulated
-/// deltas into the base indexes under brief exclusive sections.
+/// deltas into the base indexes under brief exclusive sections. The lock
+/// prefers writers (EngineLock), so those sections get in while the slots
+/// hold the shared side back to back.
 ///
 /// All statement execution routed through the scheduler is serialized
 /// against the engine correctly; callers must not mutate the engine
@@ -91,79 +103,112 @@ class QueryScheduler {
  public:
   using OutcomeCallback = std::function<void(Result<QueryOutcome>)>;
 
-  /// `engine` must outlive the scheduler. The worker pool starts
-  /// immediately.
+  /// `engine` must outlive the scheduler. The pool threads and the
+  /// compactor start immediately.
   explicit QueryScheduler(SSDM* engine, SchedulerOptions options = {});
   ~QueryScheduler();
 
   QueryScheduler(const QueryScheduler&) = delete;
   QueryScheduler& operator=(const QueryScheduler&) = delete;
 
-  /// Stops accepting work, joins the workers, and fails queued tasks with
-  /// Unavailable. Idempotent.
+  /// Stops accepting work, fails waiting statements with Unavailable,
+  /// joins the pool threads and waits until no slot is held. Idempotent.
   void Stop();
 
   /// Non-blocking admission of a unified request: classifies the
   /// statement, converts the request's timeout into an absolute deadline
-  /// *at admission* (so queue wait counts against it), applies the default
-  /// deadline when the request has none, and enqueues. Returns Unavailable
-  /// immediately when the queue is full or the scheduler is stopped;
-  /// `done` then never runs. `done` is invoked on a worker thread exactly
-  /// once otherwise.
+  /// *at admission* (so the wait for a slot counts against it), applies
+  /// the default deadline when the request has none, and takes a free slot
+  /// or a place on the wait list. Returns Unavailable immediately when the
+  /// wait list is full or the scheduler is stopped; `done` then never
+  /// runs. `done` is invoked on a pool thread exactly once otherwise.
   ///
   /// Fast path: when the engine's result cache holds a still-valid outcome
   /// for an untraced read, `done` runs inline on the submitter's thread and
-  /// the request never enters the admission queue (counted in
+  /// the request never takes a slot (counted in
   /// SchedulerStats::cache_fast_path). The probe uses try_lock_shared, so
   /// it never blocks the submitter behind a writer — contention simply
   /// falls back to normal admission.
   Status Submit(QueryRequest req, OutcomeCallback done);
 
-  /// Synchronous convenience: Submit + wait.
+  /// Synchronous admission: the same checks and fast path as Submit, but
+  /// the statement runs on the calling thread once it holds a slot (the
+  /// caller blocks on the wait list until then).
   Result<QueryOutcome> Execute(QueryRequest req);
 
   /// Runs `fn` on the caller's thread holding the engine lock exclusively,
   /// bypassing admission and classification. This is the hook for internal
   /// engine maintenance that is not a client statement — a replication
   /// applier mutating the dataset between the reads this scheduler serves.
-  /// Client writes must keep going through Submit: this path ignores the
-  /// queue bound, deadlines, and the rejects_writes() admission check (a
-  /// replica rejects client writers but must still apply its stream).
+  /// Client writes must keep going through Submit or Execute: this path
+  /// ignores the slots, the wait-list bound, deadlines, and the
+  /// rejects_writes() admission check (a replica rejects client writers
+  /// but must still apply its stream).
   Status ExecuteExclusive(const std::function<Status(SSDM*)>& fn);
 
   SchedulerStats stats() const;
   const SchedulerOptions& options() const { return options_; }
 
  private:
+  /// An admitted statement. Execute's task lives on the caller's stack;
+  /// Submit's is heap-allocated, and the scheduler owns it once admitted.
   struct Task {
+    enum class Slot { kWaiting, kGranted, kRefused };
+
     QueryRequest req;
     QueryContext ctx;
+    StatementClass cls = StatementClass::kRead;
+    std::chrono::steady_clock::time_point admitted;
+    /// Submit's completion, run on a pool thread; empty for Execute.
     OutcomeCallback done;
-    StatementClass cls;
-    std::chrono::steady_clock::time_point enqueued;
+    /// Slot hand-off, guarded by mu_. An Execute caller on the wait list
+    /// blocks on `granted` until the slot is handed over or the scheduler
+    /// stops (kRefused).
+    Slot slot = Slot::kWaiting;
+    std::condition_variable granted;
   };
 
-  Status SubmitTask(QueryRequest req, QueryContext ctx, OutcomeCallback done);
-  void WorkerLoop();
-  void CompactorLoop();
+  /// The result-cache fast path: true when `req` (a read of class `cls`)
+  /// was answered before admission, with the answer (or the stopped
+  /// scheduler's refusal) in *out.
+  bool ServeFromCache(const QueryRequest& req, StatementClass cls,
+                      Result<QueryOutcome>* out);
+  /// Fills `task` from the request: class, context and deadline.
+  void Prepare(QueryRequest req, StatementClass cls, Task* task) const;
+  /// Rejects, grants a free slot, or appends to the wait list. An Execute
+  /// task then waits here until it holds a slot; a Submit task is owned by
+  /// the scheduler once this returns OK.
+  Status Admit(Task* task);
+  /// Hands a slot to `task` (mu_ held): wakes its Execute caller, or
+  /// queues it for a pool thread.
+  void GrantLocked(Task* task);
+  /// Runs a task that holds a slot, records it and frees the slot.
+  Result<QueryOutcome> RunGranted(const Task& task);
   Result<QueryOutcome> RunTask(const Task& task);
-  void FinishTask(const Task& task, const Status& status,
-                  std::chrono::microseconds elapsed);
+  /// Stats and metrics for a finished task, and the slot's release — to
+  /// the head waiter when there is one.
+  void Finish(const Task& task, const Status& status,
+              std::chrono::microseconds elapsed);
+  void PoolLoop();
+  void CompactorLoop();
 
   SSDM* engine_;
   const SchedulerOptions options_;
 
   /// Gate over the engine: shared for kRead and kWrite (delta admission),
   /// exclusive for kExclusive, escalated writes and compaction.
-  std::shared_mutex engine_mu_;
+  EngineLock engine_mu_;
 
-  mutable std::mutex mu_;  // guards queue_, stats_, running_
-  std::condition_variable cv_;
+  mutable std::mutex mu_;  // guards everything below but the threads
+  std::condition_variable ready_cv_;    // pool threads: ready_ or stop
+  std::condition_variable idle_cv_;     // Stop: busy_ fell to 0
   std::condition_variable compact_cv_;
-  std::deque<Task> queue_;
+  int busy_ = 0;                        // slots held
+  std::deque<Task*> waiters_;           // FIFO wait list
+  std::deque<std::unique_ptr<Task>> ready_;  // Submit tasks holding a slot
   bool running_ = false;
   SchedulerStats stats_;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> pool_;
   std::thread compactor_;
 };
 

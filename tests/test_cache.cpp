@@ -74,6 +74,22 @@ TEST_F(CacheTest, PlanCacheNormalizesWhitespaceAndComments) {
   EXPECT_EQ(db_.cache().counters().plan_hits, before.plan_hits + 1);
 }
 
+TEST(PlanCacheBound, OneEntryMakesRoomAtTheBound) {
+  // A client issuing more distinct texts than the bound loses one cached
+  // plan per extra text, not the whole cache.
+  QueryCache cache;
+  const size_t n = QueryCache::kMaxPlans + 1;
+  auto key = [](size_t i) { return "text " + std::to_string(i); };
+  for (size_t i = 0; i < n; ++i) cache.StorePlan(key(i), {});
+  EXPECT_EQ(cache.plan_entries(), QueryCache::kMaxPlans);
+  size_t hits = 0;
+  QueryCache::CachedPlan plan;
+  for (size_t i = 0; i < n; ++i) hits += cache.LookupPlan(key(i), &plan);
+  EXPECT_EQ(hits, n - 1);
+  // The text stored last is always among the survivors.
+  EXPECT_TRUE(cache.LookupPlan(key(n - 1), &plan));
+}
+
 TEST_F(CacheTest, ResultCacheHitThenInsertInvalidatesBothLayers) {
   db_.EnableResultCache();
   uint64_t obs_hits = ObsCount("result", "hits");

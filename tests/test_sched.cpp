@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <mutex>
 #include <sstream>
@@ -616,6 +618,136 @@ TEST_F(SchedTest, Sp2bShapesAgreeAcrossThreadsWhileAWriterCommits) {
   sched.Stop();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GE(commits.load(), 2);
+}
+
+TEST_F(SchedTest, ExecuteRunsOnTheCallersThread) {
+  std::thread::id ran_on;
+  db_.RegisterForeign(
+      "http://example.org/where",
+      [&](std::span<const Term> args) -> Result<Term> {
+        ran_on = std::this_thread::get_id();
+        return args[0];
+      },
+      1);
+  QueryScheduler sched(&db_);
+  auto r = sched.Execute(
+      "PREFIX ex: <http://example.org/> SELECT (ex:where(1) AS ?x) WHERE { }");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST_F(SchedTest, AtMostWorkersStatementsInsideTheEngine) {
+  // Six callers, two slots: each statement stays inside the engine for
+  // 50 ms, and no more than two are ever inside at once.
+  std::atomic<int> inside{0};
+  std::atomic<int> peak{0};
+  db_.RegisterForeign(
+      "http://example.org/occupy",
+      [&](std::span<const Term> args) -> Result<Term> {
+        int now = ++inside;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(50ms);
+        --inside;
+        return args[0];
+      },
+      1);
+  SchedulerOptions options;
+  options.workers = 2;
+  QueryScheduler sched(&db_, options);
+  std::vector<std::thread> callers;
+  std::atomic<int> ok{0};
+  for (int i = 0; i < 6; ++i) {
+    callers.emplace_back([&] {
+      auto r = sched.Execute(
+          "PREFIX ex: <http://example.org/> "
+          "SELECT (ex:occupy(1) AS ?x) WHERE { }");
+      if (r.ok()) ++ok;
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(ok.load(), 6);
+  EXPECT_EQ(peak.load(), 2);
+  SchedulerStats stats = sched.stats();
+  EXPECT_EQ(stats.completed, 6u);
+  EXPECT_GE(stats.queue_high_water, 1u);
+  EXPECT_EQ(stats.queue_depth, 0u);
+}
+
+TEST_F(SchedTest, ExclusiveGetsInWhileReadsRunBackToBack) {
+  // Four threads keep the shared side of the engine lock held almost
+  // without a gap. The lock prefers writers, so an exclusive section still
+  // gets in promptly every time.
+  LoadManyRows(2000);
+  QueryScheduler sched(&db_);
+  std::atomic<bool> stop{false};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load()) {
+        auto r = sched.Execute(
+            "PREFIX ex: <http://example.org/> "
+            "SELECT (COUNT(?s) AS ?c) WHERE { ?s ex:val ?v }");
+        if (r.ok()) ++reads;
+      }
+    });
+  }
+  while (reads.load() < 20) std::this_thread::sleep_for(1ms);
+  for (int i = 0; i < 20; ++i) {
+    auto start = std::chrono::steady_clock::now();
+    Status st = sched.ExecuteExclusive([](SSDM*) { return Status::OK(); });
+    auto waited = std::chrono::steady_clock::now() - start;
+    EXPECT_TRUE(st.ok());
+    EXPECT_LT(waited, 500ms) << "exclusive request " << i;
+    std::this_thread::sleep_for(2ms);
+  }
+  stop = true;
+  for (auto& t : readers) t.join();
+}
+
+TEST_F(SchedTest, CacheProbeReleasesTheSharedLockBeforeRunning) {
+  // With the result cache on, every read first probes it under a
+  // try_lock_shared. The probe must let go before the statement takes the
+  // shared side again: the lock prefers writers, so a thread holding it
+  // twice deadlocks as soon as an exclusive request queues between the two
+  // takes. Misses (a new text each time) while exclusive requests arrive
+  // back to back make that interleaving likely.
+  LoadManyRows(200);
+  db_.EnableResultCache();
+  QueryScheduler sched(&db_);
+  std::atomic<bool> stop{false};
+  std::atomic<int> reads{0};
+  auto work = std::async(std::launch::async, [&] {
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 4; ++t) {
+      readers.emplace_back([&, t] {
+        for (int i = 0; !stop.load(); ++i) {
+          auto r = sched.Execute(
+              "PREFIX ex: <http://example.org/> SELECT ?s WHERE { ?s ex:val "
+              "?v FILTER(?v > " +
+              std::to_string(t * 1000000 + i) + ") }");
+          if (r.ok()) ++reads;
+        }
+      });
+    }
+    int exclusive = 0;
+    for (auto until = std::chrono::steady_clock::now() + 1s;
+         std::chrono::steady_clock::now() < until; ++exclusive) {
+      sched.ExecuteExclusive([](SSDM*) { return Status::OK(); });
+    }
+    stop = true;
+    for (auto& t : readers) t.join();
+    return exclusive;
+  });
+  if (work.wait_for(30s) != std::future_status::ready) {
+    // Deadlocked threads cannot be joined; end the run with a message.
+    std::fprintf(stderr, "deadlock: reads and exclusive sections stuck\n");
+    std::abort();
+  }
+  EXPECT_GT(work.get(), 0);
+  EXPECT_GT(reads.load(), 0);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "client/net.h"
 #include "client/protocol.h"
 #include "client/server.h"
 #include "query_helpers.h"
@@ -495,6 +496,104 @@ TEST_F(ServerTest, UpdateIsNotResentOverBrokenConnection) {
   auto run = session.Run(
       "PREFIX ex: <http://example.org/> INSERT DATA { ex:r ex:score 1 }");
   EXPECT_FALSE(run.ok());
+}
+
+/// A server with one execution slot over 5,000 ex:val rows and ex:nap(?x),
+/// which sleeps 1 ms per call: the nap query below takes about 5 s unless
+/// it is cancelled.
+class SlowQueryServerTest : public ServerTest {
+ protected:
+  static constexpr char kNapQuery[] =
+      "PREFIX ex: <http://example.org/> "
+      "SELECT (ex:nap(?v) AS ?x) WHERE { ?s ex:val ?v }";
+
+  void SetUp() override {
+    ServerTest::SetUp();
+    server_->Stop();
+    std::shared_ptr<std::atomic<int>> naps = naps_;
+    engine_.RegisterForeign(
+        "http://example.org/nap",
+        [naps](std::span<const Term> args) -> Result<Term> {
+          ++*naps;
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          return args[0];
+        },
+        1);
+    std::string ttl = "@prefix ex: <http://example.org/> .\n";
+    for (int i = 0; i < 5000; ++i) {
+      ttl += "ex:row" + std::to_string(i) + " ex:val " + std::to_string(i) +
+             " .\n";
+    }
+    ASSERT_TRUE(engine_.LoadTurtleString(ttl).ok());
+    SsdmServer::Options options;
+    options.sched.workers = 1;
+    server_ = std::make_unique<SsdmServer>(&engine_, options);
+    auto port = server_->Start(0);
+    ASSERT_TRUE(port.ok()) << port.status().ToString();
+    port_ = *port;
+  }
+
+  /// Waits until the nap query is executing.
+  void AwaitNaps() {
+    auto start = std::chrono::steady_clock::now();
+    while (naps_->load() == 0 &&
+           std::chrono::steady_clock::now() - start < std::chrono::seconds(5)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GT(naps_->load(), 0) << "the nap query never started";
+  }
+
+  std::shared_ptr<std::atomic<int>> naps_ =
+      std::make_shared<std::atomic<int>>(0);
+};
+
+TEST_F(SlowQueryServerTest, DisconnectCancelsInFlightQuery) {
+  // A raw client sends the nap query and hangs up mid-query.
+  auto fd = net::DialServer("127.0.0.1", port_, std::chrono::milliseconds(0));
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  ASSERT_TRUE(net::WriteFrame(*fd, kNapQuery).ok());
+  AwaitNaps();
+  net::ForgetFd(*fd);
+  ::close(*fd);
+
+  // The server notices, and the statement stops with Cancelled long
+  // before its 5 s of naps are over.
+  auto start = std::chrono::steady_clock::now();
+  while (server_->scheduler_stats().cancelled < 1 &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(2)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server_->scheduler_stats().cancelled, 1u);
+  EXPECT_LT(naps_->load(), 4000);
+
+  // The only slot is free again: a second client is answered promptly.
+  auto session = RemoteSession::Connect("127.0.0.1", port_,
+                                        std::chrono::milliseconds(2000));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto asked = std::chrono::steady_clock::now();
+  auto ask = session->Ask(
+      "PREFIX ex: <http://example.org/> ASK { ex:a ex:score 10 }");
+  ASSERT_TRUE(ask.ok()) << ask.status().ToString();
+  EXPECT_TRUE(*ask);
+  EXPECT_LT(std::chrono::steady_clock::now() - asked, std::chrono::seconds(2));
+}
+
+TEST_F(SlowQueryServerTest, StopWithStatementInFlightReturnsPromptly) {
+  std::thread client([this] {
+    RemoteSession::RetryOptions retry;
+    retry.max_attempts = 1;
+    auto session = RemoteSession::Connect(
+        "127.0.0.1", port_, std::chrono::milliseconds(10000), retry);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    // Cancelled, or the socket shut under it: either way not an answer.
+    EXPECT_FALSE(session->Query(kNapQuery).ok());
+  });
+  AwaitNaps();
+  auto start = std::chrono::steady_clock::now();
+  server_->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+  client.join();
+  EXPECT_LT(naps_->load(), 4000);
 }
 
 }  // namespace
