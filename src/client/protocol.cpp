@@ -114,8 +114,13 @@ std::string EncodeRequest(const WireRequest& req) {
 }
 
 Result<WireRequest> DecodeRequest(const std::string& payload) {
-  if (payload.size() < 10 || payload[0] != kStructuredMarker) {
-    return Status::InvalidArgument("malformed structured request");
+  if (payload.empty() || payload[0] != kStructuredMarker) {
+    return Status::InvalidArgument(
+        "unknown request form: the server takes structured (0x01) and "
+        "replication (0x02) frames only");
+  }
+  if (payload.size() < 10) {
+    return Status::InvalidArgument("truncated structured request header");
   }
   WireRequest req;
   uint8_t flags = static_cast<uint8_t>(payload[1]);
@@ -134,6 +139,12 @@ Result<WireRequest> DecodeRequest(const std::string& payload) {
     if (!GetString(payload, &pos, &req.prepared_name) ||
         !GetU32(payload, &pos, &argc)) {
       return Status::InvalidArgument("malformed prepared-exec request");
+    }
+    // Every term takes at least one byte, so a count beyond the bytes left
+    // is malformed — checked before it sizes an allocation.
+    if (argc > payload.size() - pos) {
+      return Status::InvalidArgument(
+          "prepared-exec argument count exceeds the request");
     }
     req.prepared_args.reserve(argc);
     for (uint32_t i = 0; i < argc; ++i) {

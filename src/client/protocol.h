@@ -19,8 +19,10 @@ namespace client {
 ///   request:  [u32 length][payload]
 ///   response: [u32 length][payload]
 ///
-/// Two request forms share the frame. A payload whose first byte is 0x01
-/// is a *structured* request — the wire mirror of engine::QueryRequest:
+/// Two request forms share the frame, told apart by the payload's first
+/// byte. A payload that starts with 0x01 is a *structured* request — the
+/// wire mirror of engine::QueryRequest, and the only form that carries a
+/// statement:
 ///
 ///   [0x01][flags u8][timeout_ms u64 LE][statement text]
 ///     flags bit 0: record a trace and return it with the response
@@ -32,8 +34,8 @@ namespace client {
 ///                  strings are u32-length-prefixed, terms use the term
 ///                  serialization below)
 ///
-/// (No SciSPARQL statement starts with byte 0x01, so the marker cannot
-/// collide with a legacy text request.) A structured request is answered
+/// A timeout of zero means the server's default deadline applies; one too
+/// large to represent means no deadline. A structured request is answered
 /// with a structured response:
 ///
 ///   [0x01][kind u8][u32 LE body length][body][rendered trace text]
@@ -43,25 +45,23 @@ namespace client {
 ///          'U' update  — decimal triples-touched count (updates / DEFINE),
 ///                        optionally followed by " <commit lsn>" on durable
 ///                        engines (the client's read-your-writes token)
-///          'I' info    — EXPLAIN [ANALYZE] / STATS / METRICS text
+///          'I' info    — EXPLAIN [ANALYZE] / STATS / METRICS text; the
+///                        STATS verb (matched trimmed and case-insensitively)
+///                        gets a "scheduler: <counters>" line before the
+///                        engine's report
 ///
-/// A payload whose first byte is 0x02 is a *replication* request — LSN
+/// A payload that starts with 0x02 is a *replication* request — LSN
 /// probes, WAL-batch fetches and bootstrap snapshots, documented in
 /// repl/wire.h — served by the same port and frame format.
 ///
-/// Any other first byte is a legacy request: the bare statement text,
-/// answered with a one-byte kind tag + body:
-///   'R' rows, 'B' boolean, 'G' graph, 'O' ok (updates / DEFINE),
-///   'I' info, 'S' stats ("STATS" verb: scheduler counters + engine
-///   optimizer statistics).
+/// A payload with any other first byte is answered with an
+/// InvalidArgument error, and the connection stays usable. Errors use
+/// 'E' (status code byte + message) for both forms.
 ///
-/// Errors use 'E' (status code byte + message) in both forms.
-///
-/// Every request — including the STATS/METRICS verbs and EXPLAIN
-/// statements, all classified as reads — is submitted to the query
+/// Every statement — including the STATS/METRICS verbs and EXPLAIN
+/// statements, all classified as reads — runs through the query
 /// scheduler, so engine access always happens under its reader-writer
-/// lock; the server only adds its local scheduler counters to the STATS
-/// reply.
+/// lock.
 ///
 /// Terms serialize with a kind tag; arrays travel as shape + row-major
 /// elements (proxies are materialized server-side — the client always
@@ -100,7 +100,8 @@ struct WireRequest {
 };
 
 std::string EncodeRequest(const WireRequest& req);
-/// Decodes a payload that starts with kStructuredMarker.
+/// Decodes a structured request payload; any other payload, and a
+/// malformed one, is InvalidArgument.
 Result<WireRequest> DecodeRequest(const std::string& payload);
 
 /// Decoded structured response: kind tag, kind-specific body, and the

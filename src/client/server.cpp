@@ -207,40 +207,28 @@ std::string SsdmServer::Dispatch(const std::string& request,
     Result<std::string> reply = shipper_->Handle(request, scheduler_.get());
     return reply.ok() ? *reply : ErrorPayload(reply.status());
   }
-  // Both request forms funnel into one QueryRequest and one scheduler
-  // Execute; only the response encoding differs. The "STATS" verb is
-  // answered with scheduler counters plus the engine's report; the engine
-  // part is produced by the engine's own STATS statement, which classifies
-  // as a read — so it goes through the scheduler below and runs under the
-  // shared engine lock like any query (no unsynchronized engine access
-  // outside an execution slot).
-  bool structured = !request.empty() && request[0] == kStructuredMarker;
+  // Every statement arrives as a structured frame; anything else is an
+  // InvalidArgument reply, and the connection stays open for the next.
+  Result<WireRequest> wire = DecodeRequest(request);
+  if (!wire.ok()) return ErrorPayload(wire.status());
   QueryRequest req;
-  obs::QueryTrace trace;
-  bool want_trace = false;
-  if (structured) {
-    Result<WireRequest> wire = DecodeRequest(request);
-    if (!wire.ok()) return ErrorPayload(wire.status());
-    if (wire->is_prepared) {
-      QueryRequest::PreparedCall call;
-      call.name = std::move(wire->prepared_name);
-      call.args = std::move(wire->prepared_args);
-      req.prepared = std::move(call);
-    } else {
-      req.text = std::move(wire->text);
-    }
-    req.timeout = wire->timeout;
-    if (wire->has_optimize || wire->has_push_filters) {
-      sparql::ExecOptions opts = engine_->exec_options();
-      if (wire->has_optimize) opts.optimize_join_order = wire->optimize;
-      if (wire->has_push_filters) opts.push_filters = wire->push_filters;
-      req.options = opts;
-    }
-    want_trace = wire->want_trace;
-    if (want_trace) req.trace_sink = &trace;
+  if (wire->is_prepared) {
+    QueryRequest::PreparedCall call;
+    call.name = std::move(wire->prepared_name);
+    call.args = std::move(wire->prepared_args);
+    req.prepared = std::move(call);
   } else {
-    req.text = request;
+    req.text = std::move(wire->text);
   }
+  req.timeout = wire->timeout;
+  if (wire->has_optimize || wire->has_push_filters) {
+    sparql::ExecOptions opts = engine_->exec_options();
+    if (wire->has_optimize) opts.optimize_join_order = wire->optimize;
+    if (wire->has_push_filters) opts.push_filters = wire->push_filters;
+    req.options = opts;
+  }
+  obs::QueryTrace trace;
+  if (wire->want_trace) req.trace_sink = &trace;
 
   // Self-fencing lease: a primary cut off from its replicas must stop
   // taking writes before the cluster can elect a successor, or a client
@@ -264,6 +252,11 @@ std::string SsdmServer::Dispatch(const std::string& request,
   // hangs up meanwhile, and Stop() flips it on shutdown, so the query
   // stops mid-flight instead of holding a slot for a dead connection.
   req.cancel = conn->cancel;
+  // The STATS verb's reply also carries this server's scheduler counters.
+  // The match normalizes as SSDM::Execute's STATS recognition does, so
+  // " stats " gets them too.
+  const bool stats_verb = !req.prepared.has_value() &&
+                          EqualsIgnoreCase(StripWhitespace(req.text), "STATS");
   Result<QueryOutcome> result = scheduler_->Execute(std::move(req));
 
   if (!result.ok()) return ErrorPayload(result.status());
@@ -282,84 +275,51 @@ std::string SsdmServer::Dispatch(const std::string& request,
     }
   }
 
-  if (structured) {
-    // The serialize phase is part of the query's trace: it is wall time
-    // the client observes before its answer arrives.
-    obs::TraceSpan* ser_span =
-        want_trace ? trace.AddChild(nullptr, "serialize") : nullptr;
-    obs::SpanTimer ser_timer(ser_span);
-    WireResponse resp;
-    switch (result->kind()) {
-      case QueryOutcome::Kind::kRows:
-        resp.kind = 'R';
-        resp.body = SerializeResult(result->rows());
-        break;
-      case QueryOutcome::Kind::kGraph:
-        resp.kind = 'G';
-        resp.body = loaders::WriteTurtle(result->graph(), engine_->prefixes());
-        break;
-      case QueryOutcome::Kind::kAsk:
-        resp.kind = 'B';
-        resp.body.push_back(result->ask() ? 1 : 0);
-        break;
-      case QueryOutcome::Kind::kUpdateCount: {
-        resp.kind = 'U';
-        resp.body = std::to_string(result->update_count());
-        // The commit LSN rides along as a second decimal field — the
-        // client's read-your-writes token. Old clients strtoll the count
-        // and never look past the space.
-        const auto& u = std::get<QueryOutcome::UpdateCount>(result->value);
-        if (u.lsn > 0) {
-          resp.body += " " + std::to_string(u.lsn);
-          // Third field: the executing primary's fencing term, so routers
-          // can spot acks from a deposed primary.
-          resp.body += " " + std::to_string(u.term);
-        }
-        break;
-      }
-      case QueryOutcome::Kind::kInfo:
-        resp.kind = 'I';
-        resp.body = result->info();
-        break;
-    }
-    ser_timer.Stop();
-    if (want_trace) resp.trace = trace.Render();
-    return EncodeResponse(resp);
-  }
-
-  // Legacy text request: legacy kind tags ('O' for updates/DEFINE, and
-  // the 'S' STATS compatibility tag).
-  std::string payload;
+  // The serialize phase is part of the query's trace: it is wall time the
+  // client observes before its answer arrives.
+  obs::TraceSpan* ser_span =
+      wire->want_trace ? trace.AddChild(nullptr, "serialize") : nullptr;
+  obs::SpanTimer ser_timer(ser_span);
+  WireResponse resp;
   switch (result->kind()) {
     case QueryOutcome::Kind::kRows:
-      payload.push_back('R');
-      payload += SerializeResult(result->rows());
-      break;
-    case QueryOutcome::Kind::kAsk:
-      payload.push_back('B');
-      payload.push_back(result->ask() ? 1 : 0);
+      resp.kind = 'R';
+      resp.body = SerializeResult(result->rows());
       break;
     case QueryOutcome::Kind::kGraph:
-      payload.push_back('G');
-      payload += loaders::WriteTurtle(result->graph(), engine_->prefixes());
+      resp.kind = 'G';
+      resp.body = loaders::WriteTurtle(result->graph(), engine_->prefixes());
       break;
-    case QueryOutcome::Kind::kUpdateCount:
-      payload.push_back('O');
+    case QueryOutcome::Kind::kAsk:
+      resp.kind = 'B';
+      resp.body.push_back(result->ask() ? 1 : 0);
       break;
-    case QueryOutcome::Kind::kInfo:
-      // Same normalization as SSDM::Execute's STATS recognition, so a
-      // request like " stats " gets the 'S' tag + scheduler counters
-      // rather than silently degrading to a plain 'I' reply.
-      if (EqualsIgnoreCase(StripWhitespace(request), "STATS")) {
-        payload.push_back('S');
-        payload += "scheduler: " + scheduler_->stats().ToString() + "\n";
-      } else {
-        payload.push_back('I');
+    case QueryOutcome::Kind::kUpdateCount: {
+      resp.kind = 'U';
+      resp.body = std::to_string(result->update_count());
+      // The commit LSN rides along as a second decimal field — the
+      // client's read-your-writes token. Old clients strtoll the count
+      // and never look past the space.
+      const auto& u = std::get<QueryOutcome::UpdateCount>(result->value);
+      if (u.lsn > 0) {
+        resp.body += " " + std::to_string(u.lsn);
+        // Third field: the executing primary's fencing term, so routers
+        // can spot acks from a deposed primary.
+        resp.body += " " + std::to_string(u.term);
       }
-      payload += result->info();
+      break;
+    }
+    case QueryOutcome::Kind::kInfo:
+      resp.kind = 'I';
+      if (stats_verb) {
+        resp.body = "scheduler: " + scheduler_->stats().ToString() + "\n";
+      }
+      resp.body += result->info();
       break;
   }
-  return payload;
+  ser_timer.Stop();
+  if (wire->want_trace) resp.trace = trace.Render();
+  return EncodeResponse(resp);
 }
 
 RemoteSession::~RemoteSession() {
@@ -463,7 +423,7 @@ Status RemoteSession::Reconnect() {
   return Status::OK();
 }
 
-Result<std::string> RemoteSession::RoundTrip(const std::string& text,
+Result<std::string> RemoteSession::RoundTrip(const std::string& payload,
                                              bool retry_safe) {
   int attempts = retry_safe ? std::max(retry_.max_attempts, 1) : 1;
   Status last = Status::OK();
@@ -480,20 +440,20 @@ Result<std::string> RemoteSession::RoundTrip(const std::string& text,
       last = Status::IoError("session not connected");
       continue;
     }
-    Status sent = WriteFrame(fd_, text);
-    Result<std::string> payload =
+    Status sent = WriteFrame(fd_, payload);
+    Result<std::string> reply =
         sent.ok() ? ReadFrame(fd_) : Result<std::string>(sent);
-    if (payload.ok()) {
-      if (payload->empty()) return Status::IoError("empty response");
-      if ((*payload)[0] == 'E') {
-        StatusCode code = payload->size() > 1
-                              ? static_cast<StatusCode>((*payload)[1])
+    if (reply.ok()) {
+      if (reply->empty()) return Status::IoError("empty response");
+      if ((*reply)[0] == 'E') {
+        StatusCode code = reply->size() > 1
+                              ? static_cast<StatusCode>((*reply)[1])
                               : StatusCode::kInternal;
-        return Status(code, payload->substr(2));
+        return Status(code, reply->substr(std::min<size_t>(2, reply->size())));
       }
-      return payload;
+      return reply;
     }
-    last = payload.status();
+    last = reply.status();
     // Only transport failures are worth a resend. A DeadlineExceeded
     // round-trip is NOT: the server may still be executing the statement,
     // and re-submitting would double the work (or the write).
@@ -506,7 +466,7 @@ Result<std::string> RemoteSession::RoundTrip(const std::string& text,
   return last;
 }
 
-Result<QueryOutcome> RemoteSession::Execute(const QueryRequest& req) {
+Result<WireResponse> RemoteSession::Send(const QueryRequest& req) {
   WireRequest wire;
   if (req.prepared.has_value()) {
     wire.is_prepared = true;
@@ -528,12 +488,17 @@ Result<QueryOutcome> RemoteSession::Execute(const QueryRequest& req) {
   bool retry_safe =
       req.prepared.has_value() ||
       SSDM::ClassifyStatement(req.text) == sched::StatementClass::kRead;
-  Result<std::string> payload = RoundTrip(EncodeRequest(wire), retry_safe);
-  if (!payload.ok()) return payload.status();
-  SCISPARQL_ASSIGN_OR_RETURN(WireResponse resp, DecodeResponse(*payload));
+  SCISPARQL_ASSIGN_OR_RETURN(std::string payload,
+                             RoundTrip(EncodeRequest(wire), retry_safe));
+  SCISPARQL_ASSIGN_OR_RETURN(WireResponse resp, DecodeResponse(payload));
   if (req.trace_sink != nullptr) {
     req.trace_sink->AdoptRendered(std::move(resp.trace));
   }
+  return resp;
+}
+
+Result<QueryOutcome> RemoteSession::Execute(const QueryRequest& req) {
+  SCISPARQL_ASSIGN_OR_RETURN(WireResponse resp, Send(req));
   switch (resp.kind) {
     case 'R': {
       SCISPARQL_ASSIGN_OR_RETURN(sparql::QueryResult rows,
@@ -575,42 +540,37 @@ Result<QueryOutcome> RemoteSession::Execute(const QueryRequest& req) {
 }
 
 Result<sparql::QueryResult> RemoteSession::Query(const std::string& text) {
-  Result<std::string> payload = RoundTrip(
-      text, SSDM::ClassifyStatement(text) == sched::StatementClass::kRead);
-  if (!payload.ok()) return payload.status();
-  if (payload->empty() || (*payload)[0] != 'R') {
+  SCISPARQL_ASSIGN_OR_RETURN(WireResponse resp, Send(text));
+  if (resp.kind != 'R') {
     return Status::InvalidArgument("statement is not a SELECT query");
   }
-  return DeserializeResult(payload->substr(1));
+  return DeserializeResult(resp.body);
 }
 
 Result<bool> RemoteSession::Ask(const std::string& text) {
-  Result<std::string> payload = RoundTrip(
-      text, SSDM::ClassifyStatement(text) == sched::StatementClass::kRead);
-  if (!payload.ok()) return payload.status();
-  if (payload->size() < 2 || (*payload)[0] != 'B') {
+  SCISPARQL_ASSIGN_OR_RETURN(WireResponse resp, Send(text));
+  if (resp.kind != 'B' || resp.body.empty()) {
     return Status::InvalidArgument("statement is not an ASK query");
   }
-  return (*payload)[1] != 0;
+  return resp.body[0] != 0;
 }
 
 Result<std::string> RemoteSession::Run(const std::string& text) {
-  Result<std::string> payload = RoundTrip(text);
-  if (!payload.ok()) return payload.status();
-  if (!payload->empty() &&
-      ((*payload)[0] == 'G' || (*payload)[0] == 'I')) {
-    return payload->substr(1);
-  }
+  SCISPARQL_ASSIGN_OR_RETURN(WireResponse resp, Send(text));
+  if (resp.kind == 'G' || resp.kind == 'I') return std::move(resp.body);
   return std::string();
 }
 
-Result<std::string> RemoteSession::Explain(const std::string& query) {
-  Result<std::string> payload = RoundTrip("EXPLAIN " + query, true);
-  if (!payload.ok()) return payload.status();
-  if (payload->empty() || (*payload)[0] != 'I') {
-    return Status::Internal("malformed EXPLAIN response");
+Result<std::string> RemoteSession::Info(const std::string& text) {
+  SCISPARQL_ASSIGN_OR_RETURN(WireResponse resp, Send(text));
+  if (resp.kind != 'I') {
+    return Status::Internal("malformed response to " + text);
   }
-  return payload->substr(1);
+  return std::move(resp.body);
+}
+
+Result<std::string> RemoteSession::Explain(const std::string& query) {
+  return Info("EXPLAIN " + query);
 }
 
 Status RemoteSession::Prepare(const std::string& name,
@@ -642,23 +602,9 @@ Result<QueryOutcome> RemoteSession::ExecutePrepared(
   return Execute(req);
 }
 
-Result<std::string> RemoteSession::Stats() {
-  Result<std::string> payload = RoundTrip("STATS", true);
-  if (!payload.ok()) return payload.status();
-  if (payload->empty() || (*payload)[0] != 'S') {
-    return Status::Internal("malformed STATS response");
-  }
-  return payload->substr(1);
-}
+Result<std::string> RemoteSession::Stats() { return Info("STATS"); }
 
-Result<std::string> RemoteSession::Metrics() {
-  Result<std::string> payload = RoundTrip("METRICS", true);
-  if (!payload.ok()) return payload.status();
-  if (payload->empty() || (*payload)[0] != 'I') {
-    return Status::Internal("malformed METRICS response");
-  }
-  return payload->substr(1);
-}
+Result<std::string> RemoteSession::Metrics() { return Info("METRICS"); }
 
 }  // namespace client
 }  // namespace scisparql

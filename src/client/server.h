@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "client/protocol.h"
 #include "common/status.h"
 #include "engine/ssdm.h"
 #include "repl/shipper.h"
@@ -114,7 +115,7 @@ class SsdmServer {
   void ServeConnection(Connection* conn);
   /// Sets the cancel flag of each connection whose peer hung up.
   void WatchLoop();
-  /// Builds the kind-tagged response payload for one request.
+  /// Builds the response payload for one request frame.
   std::string Dispatch(const std::string& request, Connection* conn);
   /// Joins finished connection threads (called from the accept loop).
   void ReapConnections();
@@ -144,7 +145,9 @@ class SsdmServer {
 /// the same QueryRequest/QueryOutcome surface as the embedded engine —
 /// Execute() ships the request's timeout, option overrides and trace wish
 /// over the wire as a structured frame and rebuilds the outcome (including
-/// CONSTRUCT graphs) client-side.
+/// CONSTRUCT graphs) client-side. The text verbs (Query, Ask, Run, Stats,
+/// Metrics, Explain) send the same structured frame and check the reply's
+/// kind.
 class RemoteSession {
  public:
   /// Transient-failure policy for Connect() and for resending read-class
@@ -203,9 +206,9 @@ class RemoteSession {
   /// Updates / DEFINE; also accepts CONSTRUCT (returns the Turtle text).
   Result<std::string> Run(const std::string& text);
 
-  /// The STATS protocol verb: the server's scheduler counters plus the
-  /// engine's optimizer-statistics report (triple totals, per-predicate
-  /// counts, index fan-out histograms).
+  /// The STATS verb: a "scheduler: <counters>" line for the server's
+  /// scheduler, then the engine's optimizer-statistics report (triple
+  /// totals, per-predicate counts, index fan-out histograms).
   Result<std::string> Stats();
 
   /// The METRICS verb: the server's Prometheus-style metrics exposition.
@@ -241,13 +244,22 @@ class RemoteSession {
   RemoteSession(int fd, std::string host, int port,
                 std::chrono::milliseconds timeout, RetryOptions retry);
 
-  /// Sends a statement and returns the raw (kind-tagged) response payload.
-  /// When `retry_safe` is true (read-class statements and prepared calls —
-  /// safe to run twice) a broken connection is re-established with backoff
-  /// and the request resent, up to retry_.max_attempts tries. Timeouts are
-  /// never retried: the server may still be executing the statement.
-  Result<std::string> RoundTrip(const std::string& text,
-                                bool retry_safe = false);
+  /// Sends `req` as a structured frame and decodes the structured reply;
+  /// the rendered trace, when asked for, is adopted into req.trace_sink.
+  /// Read-class statements and prepared calls are resent per the retry
+  /// policy (see RoundTrip); everything else is sent once.
+  Result<WireResponse> Send(const QueryRequest& req);
+
+  /// Send() for a verb answered with 'I' info text (STATS, METRICS,
+  /// EXPLAIN); returns that text.
+  Result<std::string> Info(const std::string& text);
+
+  /// Sends a payload and returns the raw response payload, with an 'E'
+  /// reply mapped to its status. When `retry_safe` is true (safe to run
+  /// twice) a broken connection is re-established with backoff and the
+  /// request resent, up to retry_.max_attempts tries. Timeouts are never
+  /// retried: the server may still be executing the statement.
+  Result<std::string> RoundTrip(const std::string& payload, bool retry_safe);
 
   /// Closes the current socket and dials the server again (one attempt;
   /// the caller owns the backoff loop).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -633,20 +631,12 @@ Result<Term> SSDM::StoreArray(const NumericArray& array,
 }
 
 namespace {
-// Legacy snapshot section marker. '#' makes it a comment to any plain
-// Turtle tool; the pre-SSNP loader splits on it before parsing.
-constexpr const char* kGraphMarker = "#%GRAPH ";
 
-/// Renders the dataset into checksummed-snapshot sections + footer.
-/// Sections are dictionary-encoded (distinct terms once, triples as index
-/// tuples, stored arrays as back-end refs instead of materialized
-/// collections); the loader still accepts Turtle bodies from older
-/// snapshots.
-Status BuildSnapshotSections(const Dataset& dataset, const PrefixMap& prefixes,
-                             uint64_t wal_lsn,
+/// Renders the dataset into checksummed-snapshot sections + footer, one
+/// dictionary section per graph (storage/dict_section.h).
+Status BuildSnapshotSections(const Dataset& dataset, uint64_t wal_lsn,
                              std::vector<storage::SnapshotSection>* sections,
                              storage::SnapshotFooter* footer) {
-  (void)prefixes;
   footer->wal_lsn = wal_lsn;
   SCISPARQL_ASSIGN_OR_RETURN(
       std::string body, storage::EncodeDictSection(dataset.default_graph()));
@@ -664,23 +654,19 @@ Status BuildSnapshotSections(const Dataset& dataset, const PrefixMap& prefixes,
 }  // namespace
 
 Status SSDM::BuildDatasetFromSections(
-    const std::vector<std::pair<std::string, std::string>>& sections,
-    Dataset* out) {
-  for (const auto& [iri, body] : sections) {
-    Graph* g = iri.empty() ? &out->default_graph()
-                           : &out->GetOrCreateNamed(iri);
-    if (storage::IsDictSection(body)) {
-      auto resolve = [this](const std::string& name,
-                            uint64_t id) -> Result<Term> {
-        return OpenStoredArray(name, static_cast<ArrayId>(id));
-      };
-      SCISPARQL_RETURN_NOT_OK(storage::DecodeDictSection(body, resolve, g));
-      continue;
-    }
-    // Legacy Turtle section (pre-dictionary snapshot).
-    loaders::TurtleOptions opts;
-    opts.prefixes = prefixes_;
-    SCISPARQL_RETURN_NOT_OK(loaders::LoadTurtleString(body, g, opts));
+    const std::vector<storage::SnapshotSection>& sections, Dataset* out) {
+  for (const storage::SnapshotSection& sec : sections) {
+    Graph* g = sec.graph_iri.empty() ? &out->default_graph()
+                                     : &out->GetOrCreateNamed(sec.graph_iri);
+    // Only dictionary sections are read: a section in any other form (the
+    // Turtle bodies of snapshots older than the dictionary encoding) fails
+    // the build, and recovery falls back to an older snapshot.
+    auto resolve = [this](const std::string& name,
+                          uint64_t id) -> Result<Term> {
+      return OpenStoredArray(name, static_cast<ArrayId>(id));
+    };
+    SCISPARQL_RETURN_NOT_OK(
+        storage::DecodeDictSection(sec.body, resolve, g));
   }
   return Status::OK();
 }
@@ -735,62 +721,21 @@ Status SSDM::SaveSnapshot(const std::string& path) {
   storage::SnapshotFooter footer;
   // A standalone snapshot is not coordinated with the WAL; only
   // Checkpoint() stamps a real LSN.
-  SCISPARQL_RETURN_NOT_OK(BuildSnapshotSections(
-      dataset_, prefixes_, /*wal_lsn=*/0, &sections, &footer));
+  SCISPARQL_RETURN_NOT_OK(
+      BuildSnapshotSections(dataset_, /*wal_lsn=*/0, &sections, &footer));
   return storage::WriteSnapshot(vfs, path, sections, footer);
 }
 
 Status SSDM::LoadSnapshot(const std::string& path) {
   storage::Vfs* vfs =
       durability_ != nullptr ? durability_->vfs() : storage::DefaultVfs();
-  if (storage::IsSnapshotFile(vfs, path)) {
-    SCISPARQL_ASSIGN_OR_RETURN(storage::SnapshotContents contents,
-                               storage::ReadSnapshot(vfs, path));
-    std::vector<std::pair<std::string, std::string>> sections;
-    for (storage::SnapshotSection& sec : contents.sections) {
-      sections.emplace_back(std::move(sec.graph_iri), std::move(sec.turtle));
-    }
-    Dataset fresh;
-    SCISPARQL_RETURN_NOT_OK(BuildDatasetFromSections(sections, &fresh));
-    InstallDataset(std::move(fresh));
-    return Status::OK();
-  }
-
-  // Legacy plain-Turtle snapshot with "#%GRAPH <iri>" markers.
-  std::ifstream in(path);
-  if (!in.good()) return Status::IoError("cannot read snapshot: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string text = buf.str();
-
+  // Only the checksummed SSNP format loads: a missing file, or one in any
+  // other envelope, is an IoError.
+  Result<storage::SnapshotContents> contents = storage::ReadSnapshot(vfs, path);
+  if (!contents.ok()) return Status::IoError(contents.status().message());
   Dataset fresh;
-  std::string current_graph;  // "" = default
-  size_t pos = 0;
-  auto flush_section = [&](const std::string& section) -> Status {
-    Graph* g = current_graph.empty()
-                   ? &fresh.default_graph()
-                   : &fresh.GetOrCreateNamed(current_graph);
-    loaders::TurtleOptions opts;
-    opts.prefixes = prefixes_;
-    return loaders::LoadTurtleString(section, g, opts);
-  };
-  while (pos <= text.size()) {
-    size_t marker = text.find(kGraphMarker, pos);
-    // A marker only counts at the start of a line.
-    while (marker != std::string::npos && marker != 0 &&
-           text[marker - 1] != '\n') {
-      marker = text.find(kGraphMarker, marker + 1);
-    }
-    size_t end = marker == std::string::npos ? text.size() : marker;
-    SCISPARQL_RETURN_NOT_OK(flush_section(text.substr(pos, end - pos)));
-    if (marker == std::string::npos) break;
-    size_t line_end = text.find('\n', marker);
-    if (line_end == std::string::npos) line_end = text.size();
-    current_graph = std::string(StripWhitespace(text.substr(
-        marker + std::strlen(kGraphMarker),
-        line_end - marker - std::strlen(kGraphMarker))));
-    pos = line_end + 1;
-  }
+  SCISPARQL_RETURN_NOT_OK(
+      BuildDatasetFromSections(contents->sections, &fresh));
   InstallDataset(std::move(fresh));
   return Status::OK();
 }
@@ -939,12 +884,8 @@ Status SSDM::Open(const std::string& dir, storage::Vfs* vfs) {
       ++info.snapshots_skipped;
       continue;
     }
-    std::vector<std::pair<std::string, std::string>> sections;
-    for (storage::SnapshotSection& sec : contents->sections) {
-      sections.emplace_back(std::move(sec.graph_iri), std::move(sec.turtle));
-    }
     Dataset candidate;
-    Status built = BuildDatasetFromSections(sections, &candidate);
+    Status built = BuildDatasetFromSections(contents->sections, &candidate);
     if (!built.ok()) {
       ++info.snapshots_skipped;
       continue;
@@ -1034,9 +975,8 @@ Result<std::string> SSDM::CheckpointLocked() {
 
   std::vector<storage::SnapshotSection> sections;
   storage::SnapshotFooter footer;
-  SCISPARQL_RETURN_NOT_OK(BuildSnapshotSections(dataset_, prefixes_,
-                                                snapshot_lsn, &sections,
-                                                &footer));
+  SCISPARQL_RETURN_NOT_OK(
+      BuildSnapshotSections(dataset_, snapshot_lsn, &sections, &footer));
   footer.term = term();
 
   uint64_t seq = durability_->AllocateSnapshotSeq();
@@ -1196,8 +1136,17 @@ Status SSDM::ApplyReplicationFrames(const std::string& frames) {
 Status SSDM::BootstrapFromReplication(
     const std::vector<std::pair<std::string, std::string>>& sections,
     uint64_t lsn) {
+  // The replication snapshot body (repl/wire.h, written by REPL SNAPSHOT
+  // below) carries Turtle sections, not the dictionary sections of
+  // snapshot files.
   Dataset fresh;
-  SCISPARQL_RETURN_NOT_OK(BuildDatasetFromSections(sections, &fresh));
+  for (const auto& [iri, turtle] : sections) {
+    Graph* g = iri.empty() ? &fresh.default_graph()
+                           : &fresh.GetOrCreateNamed(iri);
+    loaders::TurtleOptions opts;
+    opts.prefixes = prefixes_;
+    SCISPARQL_RETURN_NOT_OK(loaders::LoadTurtleString(turtle, g, opts));
+  }
   InstallDataset(std::move(fresh));
   applied_lsn_.store(lsn, std::memory_order_release);
   if (durability_ != nullptr && !durability_->read_only()) {

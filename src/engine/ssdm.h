@@ -26,6 +26,9 @@ namespace scisparql {
 namespace engine {
 class DurabilityManager;
 }  // namespace engine
+namespace storage {
+struct SnapshotSection;
+}  // namespace storage
 
 /// Scientific SPARQL Database Manager — the engine facade (Chapter 5).
 /// Owns the RDF-with-Arrays dataset, the function registry, attached array
@@ -326,10 +329,11 @@ class SSDM {
   /// differently under different prefixes).
   std::string CacheKeyFor(const std::string& text) const;
 
-  /// Builds a Dataset from decoded snapshot sections (Turtle per graph).
+  /// Builds a Dataset from the sections of a snapshot file: one dictionary
+  /// section per graph (storage/dict_section.h); a section in any other
+  /// form fails the build.
   Status BuildDatasetFromSections(
-      const std::vector<std::pair<std::string, std::string>>& sections,
-      Dataset* out);
+      const std::vector<storage::SnapshotSection>& sections, Dataset* out);
 
   /// Swaps `fresh` in for the current dataset: clears statistics first
   /// (collectors reference dying graphs), epoch-bumps both cache layers,

@@ -52,9 +52,16 @@ struct QueryContext {
   /// the exclusive lock.
   bool exclusive = true;
 
+  /// A deadline `timeout` from now. A timeout too large for the clock to
+  /// represent (a client may send any u64 of milliseconds) saturates to no
+  /// deadline instead of overflowing into one already past.
   static QueryContext WithTimeout(std::chrono::milliseconds timeout) {
     QueryContext ctx;
-    ctx.deadline = Clock::now() + timeout;
+    Clock::time_point now = Clock::now();
+    if (timeout < std::chrono::duration_cast<std::chrono::milliseconds>(
+                      Clock::time_point::max() - now)) {
+      ctx.deadline = now + timeout;
+    }
     return ctx;
   }
 

@@ -98,44 +98,29 @@ QueryScheduler::QueryScheduler(SSDM* engine, SchedulerOptions options)
   // While the scheduler is attached, updates go through the differential
   // write path so statements can run them under the shared lock.
   engine_->BeginConcurrentWrites();
-  pool_.reserve(static_cast<size_t>(options_.workers));
-  for (int i = 0; i < options_.workers; ++i) {
-    pool_.emplace_back([this]() { PoolLoop(); });
-  }
   compactor_ = std::thread([this]() { CompactorLoop(); });
 }
 
 QueryScheduler::~QueryScheduler() { Stop(); }
 
 void QueryScheduler::Stop() {
-  std::vector<std::unique_ptr<Task>> orphaned;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!running_) return;
     running_ = false;
-    // Waiting Execute callers return Unavailable on their own threads;
-    // waiting Submit tasks are failed below, once the engine is released.
+    // Waiting callers return Unavailable on their own threads.
     for (Task* t : waiters_) {
-      if (t->done) {
-        orphaned.emplace_back(t);
-      } else {
-        t->slot = Task::Slot::kRefused;
-        t->granted.notify_one();
-      }
+      t->slot = Task::Slot::kRefused;
+      t->granted.notify_one();
     }
     waiters_.clear();
     stats_.queue_depth = 0;
     Metrics().queue_depth.Set(0);
   }
-  ready_cv_.notify_all();
   compact_cv_.notify_all();
-  for (std::thread& t : pool_) {
-    if (t.joinable()) t.join();
-  }
-  pool_.clear();
   if (compactor_.joinable()) compactor_.join();
   {
-    // Execute callers still running hold their slots; the engine leaves
+    // Callers still running hold their slots; the engine leaves
     // concurrent-write mode only once every statement is out of it.
     std::unique_lock<std::mutex> lock(mu_);
     idle_cv_.wait(lock, [this]() { return busy_ == 0; });
@@ -144,7 +129,6 @@ void QueryScheduler::Stop() {
   // exclusively by this thread in effect; the final release folds
   // remaining deltas and returns the graphs to base mode.
   engine_->EndConcurrentWrites();
-  for (auto& t : orphaned) t->done(Status::Unavailable("scheduler stopped"));
 }
 
 bool QueryScheduler::ServeFromCache(const QueryRequest& req,
@@ -175,25 +159,6 @@ bool QueryScheduler::ServeFromCache(const QueryRequest& req,
   }
   *out = std::move(hit);
   return true;
-}
-
-Status QueryScheduler::Submit(QueryRequest req, OutcomeCallback done) {
-  // An empty `done` marks an Execute task, so a caller that wants no
-  // answer still gets a pool thread to run its statement.
-  if (done == nullptr) done = [](Result<QueryOutcome>) {};
-  StatementClass cls = ClassOf(req);
-  Result<QueryOutcome> cached = Status::OK();
-  if (ServeFromCache(req, cls, &cached)) {
-    if (!cached.ok()) return cached.status();
-    done(std::move(cached));
-    return Status::OK();
-  }
-  auto task = std::make_unique<Task>();
-  Prepare(std::move(req), cls, task.get());
-  task->done = std::move(done);
-  SCISPARQL_RETURN_NOT_OK(Admit(task.get()));
-  task.release();  // a pool thread or Stop() owns it now
-  return Status::OK();
 }
 
 Result<QueryOutcome> QueryScheduler::Execute(QueryRequest req) {
@@ -245,7 +210,6 @@ Status QueryScheduler::Admit(Task* task) {
   Metrics().admitted.Add();
   if (busy_ < options_.workers && waiters_.empty()) {
     ++busy_;
-    GrantLocked(task);
     return Status::OK();
   }
   waiters_.push_back(task);
@@ -253,7 +217,6 @@ Status QueryScheduler::Admit(Task* task) {
   stats_.queue_high_water = std::max(stats_.queue_high_water,
                                      stats_.queue_depth);
   Metrics().queue_depth.Set(static_cast<int64_t>(waiters_.size()));
-  if (task->done) return Status::OK();
   task->granted.wait(lock, [task]() {
     return task->slot != Task::Slot::kWaiting;
   });
@@ -263,37 +226,10 @@ Status QueryScheduler::Admit(Task* task) {
   return Status::OK();
 }
 
-void QueryScheduler::GrantLocked(Task* task) {
-  task->slot = Task::Slot::kGranted;
-  if (task->done) {
-    ready_.emplace_back(task);
-    ready_cv_.notify_one();
-  } else {
-    task->granted.notify_one();
-  }
-}
-
 Status QueryScheduler::ExecuteExclusive(
     const std::function<Status(SSDM*)>& fn) {
   std::unique_lock<EngineLock> lock(engine_mu_);
   return fn(engine_);
-}
-
-void QueryScheduler::PoolLoop() {
-  for (;;) {
-    std::unique_ptr<Task> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      ready_cv_.wait(lock, [this]() { return !running_ || !ready_.empty(); });
-      // A task granted a slot before Stop() still runs: it left the wait
-      // list, so nothing else would answer it.
-      if (ready_.empty()) return;
-      task = std::move(ready_.front());
-      ready_.pop_front();
-    }
-    Result<QueryOutcome> result = RunGranted(*task);
-    task->done(std::move(result));
-  }
 }
 
 Result<QueryOutcome> QueryScheduler::RunGranted(const Task& task) {
@@ -410,7 +346,8 @@ void QueryScheduler::Finish(const Task& task, const Status& status,
     waiters_.pop_front();
     stats_.queue_depth = waiters_.size();
     Metrics().queue_depth.Set(static_cast<int64_t>(waiters_.size()));
-    GrantLocked(next);
+    next->slot = Task::Slot::kGranted;
+    next->granted.notify_one();
   } else if (--busy_ == 0 && !running_) {
     idle_cv_.notify_all();
   }

@@ -6,11 +6,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/status.h"
 #include "engine/ssdm.h"
@@ -24,8 +22,8 @@ namespace sched {
 struct SchedulerOptions {
   /// Execution slots: how many statements run inside the engine at once
   /// (clamped to >= 1). Execute runs its statement on the calling thread
-  /// once that thread holds a slot; Submit's statements run on a pool of
-  /// this many threads, through the same slots.
+  /// once that thread holds a slot; the scheduler starts no thread per
+  /// slot.
   int workers = 4;
 
   /// Wait-list bound: statements admitted while this many are already
@@ -77,11 +75,11 @@ struct SchedulerStats {
 /// slots behind a bounded FIFO wait list, a three-class concurrency model
 /// over the engine, per-query deadlines and cooperative cancellation.
 ///
-/// A statement runs on the thread that holds its slot. Execute runs it on
+/// A statement runs on the thread that holds its slot: Execute runs it on
 /// the caller's own thread, so a server's connection thread reads a
-/// request, executes it and writes the reply with no hand-off; Submit
-/// hands it to a pool thread. A freed slot goes straight to the head of
-/// the wait list.
+/// request, executes it and writes the reply with no hand-off. A freed
+/// slot goes straight to the head of the wait list. The only thread the
+/// scheduler owns is the compactor.
 ///
 /// Reads run in parallel under the shared lock. Write-class statements
 /// (INSERT/DELETE updates) ALSO run under the shared lock: while the
@@ -101,10 +99,8 @@ struct SchedulerStats {
 /// directly while the scheduler is running.
 class QueryScheduler {
  public:
-  using OutcomeCallback = std::function<void(Result<QueryOutcome>)>;
-
-  /// `engine` must outlive the scheduler. The pool threads and the
-  /// compactor start immediately.
+  /// `engine` must outlive the scheduler. The compactor starts
+  /// immediately.
   explicit QueryScheduler(SSDM* engine, SchedulerOptions options = {});
   ~QueryScheduler();
 
@@ -112,35 +108,29 @@ class QueryScheduler {
   QueryScheduler& operator=(const QueryScheduler&) = delete;
 
   /// Stops accepting work, fails waiting statements with Unavailable,
-  /// joins the pool threads and waits until no slot is held. Idempotent.
+  /// joins the compactor and waits until no slot is held. Idempotent.
   void Stop();
 
-  /// Non-blocking admission of a unified request: classifies the
+  /// Admits and runs one statement on the calling thread. Classifies the
   /// statement, converts the request's timeout into an absolute deadline
   /// *at admission* (so the wait for a slot counts against it), applies
   /// the default deadline when the request has none, and takes a free slot
-  /// or a place on the wait list. Returns Unavailable immediately when the
-  /// wait list is full or the scheduler is stopped; `done` then never
-  /// runs. `done` is invoked on a pool thread exactly once otherwise.
+  /// or a place on the wait list; the caller blocks there until a slot is
+  /// handed to it. Returns Unavailable at once when the wait list is full,
+  /// and when the scheduler is stopped (also for a caller still waiting).
   ///
   /// Fast path: when the engine's result cache holds a still-valid outcome
-  /// for an untraced read, `done` runs inline on the submitter's thread and
-  /// the request never takes a slot (counted in
-  /// SchedulerStats::cache_fast_path). The probe uses try_lock_shared, so
-  /// it never blocks the submitter behind a writer — contention simply
-  /// falls back to normal admission.
-  Status Submit(QueryRequest req, OutcomeCallback done);
-
-  /// Synchronous admission: the same checks and fast path as Submit, but
-  /// the statement runs on the calling thread once it holds a slot (the
-  /// caller blocks on the wait list until then).
+  /// for an untraced read, it is returned before admission and the request
+  /// never takes a slot (counted in SchedulerStats::cache_fast_path). The
+  /// probe uses try_lock_shared, so it never blocks the caller behind a
+  /// writer — contention simply falls back to normal admission.
   Result<QueryOutcome> Execute(QueryRequest req);
 
   /// Runs `fn` on the caller's thread holding the engine lock exclusively,
   /// bypassing admission and classification. This is the hook for internal
   /// engine maintenance that is not a client statement — a replication
   /// applier mutating the dataset between the reads this scheduler serves.
-  /// Client writes must keep going through Submit or Execute: this path
+  /// Client writes must keep going through Execute: this path
   /// ignores the slots, the wait-list bound, deadlines, and the
   /// rejects_writes() admission check (a replica rejects client writers
   /// but must still apply its stream).
@@ -150,8 +140,7 @@ class QueryScheduler {
   const SchedulerOptions& options() const { return options_; }
 
  private:
-  /// An admitted statement. Execute's task lives on the caller's stack;
-  /// Submit's is heap-allocated, and the scheduler owns it once admitted.
+  /// An admitted statement; it lives on the Execute caller's stack.
   struct Task {
     enum class Slot { kWaiting, kGranted, kRefused };
 
@@ -159,11 +148,9 @@ class QueryScheduler {
     QueryContext ctx;
     StatementClass cls = StatementClass::kRead;
     std::chrono::steady_clock::time_point admitted;
-    /// Submit's completion, run on a pool thread; empty for Execute.
-    OutcomeCallback done;
-    /// Slot hand-off, guarded by mu_. An Execute caller on the wait list
-    /// blocks on `granted` until the slot is handed over or the scheduler
-    /// stops (kRefused).
+    /// Slot hand-off, guarded by mu_. A caller on the wait list blocks on
+    /// `granted` until the slot is handed over or the scheduler stops
+    /// (kRefused).
     Slot slot = Slot::kWaiting;
     std::condition_variable granted;
   };
@@ -175,13 +162,9 @@ class QueryScheduler {
                       Result<QueryOutcome>* out);
   /// Fills `task` from the request: class, context and deadline.
   void Prepare(QueryRequest req, StatementClass cls, Task* task) const;
-  /// Rejects, grants a free slot, or appends to the wait list. An Execute
-  /// task then waits here until it holds a slot; a Submit task is owned by
-  /// the scheduler once this returns OK.
+  /// Rejects, grants a free slot, or appends to the wait list and waits
+  /// there until the task holds a slot.
   Status Admit(Task* task);
-  /// Hands a slot to `task` (mu_ held): wakes its Execute caller, or
-  /// queues it for a pool thread.
-  void GrantLocked(Task* task);
   /// Runs a task that holds a slot, records it and frees the slot.
   Result<QueryOutcome> RunGranted(const Task& task);
   Result<QueryOutcome> RunTask(const Task& task);
@@ -189,7 +172,6 @@ class QueryScheduler {
   /// the head waiter when there is one.
   void Finish(const Task& task, const Status& status,
               std::chrono::microseconds elapsed);
-  void PoolLoop();
   void CompactorLoop();
 
   SSDM* engine_;
@@ -199,16 +181,13 @@ class QueryScheduler {
   /// exclusive for kExclusive, escalated writes and compaction.
   EngineLock engine_mu_;
 
-  mutable std::mutex mu_;  // guards everything below but the threads
-  std::condition_variable ready_cv_;    // pool threads: ready_ or stop
+  mutable std::mutex mu_;  // guards everything below but the compactor
   std::condition_variable idle_cv_;     // Stop: busy_ fell to 0
   std::condition_variable compact_cv_;
   int busy_ = 0;                        // slots held
   std::deque<Task*> waiters_;           // FIFO wait list
-  std::deque<std::unique_ptr<Task>> ready_;  // Submit tasks holding a slot
   bool running_ = false;
   SchedulerStats stats_;
-  std::vector<std::thread> pool_;
   std::thread compactor_;
 };
 

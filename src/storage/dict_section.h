@@ -12,13 +12,14 @@ namespace scisparql {
 namespace storage {
 
 /// Dictionary-encoded snapshot section: the graph's distinct terms are
-/// written once (inline bytes, or (storage, id) references for stored
-/// arrays — which the Turtle writer used to materialize in full), followed
-/// by the triples as fixed-width index tuples. The section body starts
-/// with a NUL magic byte, which no Turtle document can, so loaders route
-/// on the first byte and fall back to Turtle for legacy snapshots.
+/// written once (arrays materialized inline, so a snapshot loads with no
+/// array storage attached), followed by the triples as fixed-width index
+/// tuples. The section body starts with a magic whose first byte is NUL,
+/// which no Turtle document can, so the Turtle bodies of snapshots older
+/// than this encoding fail the magic check instead of loading as garbage;
+/// the engine reads no other section form.
 
-/// True when `body` is a dictionary-encoded section (vs. Turtle).
+/// True when `body` starts with the dictionary-section magic.
 bool IsDictSection(const std::string& body);
 
 /// Serializes the graph's live triples as a dictionary section.

@@ -1,9 +1,11 @@
 #include <cstdio>
+#include <fstream>
 
 #include <gtest/gtest.h>
 
 #include "engine/ssdm.h"
 #include "storage/memory_backend.h"
+#include "storage/snapshot.h"
 #include "query_helpers.h"
 
 namespace scisparql {
@@ -143,6 +145,33 @@ TEST(Engine, LoadSnapshotMissingFileFails) {
   SSDM db;
   EXPECT_EQ(db.LoadSnapshot("/nonexistent.ssd").code(),
             StatusCode::kIoError);
+}
+
+TEST(Engine, LoadSnapshotRejectsPreDictionaryForms) {
+  // Only SSNP files with dictionary sections load; the two older forms
+  // fail and leave the dataset as it was.
+  SSDM db;
+  db.prefixes().Set("ex", "http://example.org/");
+  ASSERT_TRUE(scisparql::Run(db, "INSERT DATA { ex:kept ex:p 1 }").ok());
+  const std::string turtle =
+      "<http://example.org/a> <http://example.org/p> 1 .\n";
+
+  std::string plain = std::string(::testing::TempDir()) + "/plain.ssd";
+  std::ofstream(plain) << turtle << "#%GRAPH http://example.org/g\n" << turtle;
+  EXPECT_EQ(db.LoadSnapshot(plain).code(), StatusCode::kIoError);
+
+  std::string ssnp = std::string(::testing::TempDir()) + "/turtle.ssnp";
+  storage::SnapshotFooter footer;
+  footer.graphs.push_back({"", 1, 1});
+  ASSERT_TRUE(storage::WriteSnapshot(storage::DefaultVfs(), ssnp,
+                                     {{"", turtle}}, footer)
+                  .ok());
+  EXPECT_FALSE(db.LoadSnapshot(ssnp).ok());
+
+  EXPECT_TRUE(*Ask(db, "ASK { ex:kept ex:p 1 }"));
+  EXPECT_FALSE(*Ask(db, "ASK { ex:a ex:p 1 }"));
+  std::remove(plain.c_str());
+  std::remove(ssnp.c_str());
 }
 
 }  // namespace

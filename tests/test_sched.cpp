@@ -189,23 +189,16 @@ TEST_F(SchedTest, FullQueueRejectsWithUnavailable) {
       "PREFIX ex: <http://example.org/> "
       "SELECT (ex:gate(1) AS ?x) WHERE { }";
 
-  std::promise<Status> p1, p2;
-  ASSERT_TRUE(sched
-                  .Submit(slow, [&](Result<QueryOutcome> r) {
-                    p1.set_value(r.status());
-                  })
-                  .ok());
+  Status s1, s2;
+  std::thread t1([&] { s1 = sched.Execute(slow).status(); });
   {  // Wait until the worker is actually busy inside the gate.
     std::unique_lock<std::mutex> lock(mu);
     ASSERT_TRUE(cv.wait_for(lock, 5s, [&] { return entered; }));
   }
-  ASSERT_TRUE(sched
-                  .Submit(slow, [&](Result<QueryOutcome> r) {
-                    p2.set_value(r.status());
-                  })
-                  .ok());
+  std::thread t2([&] { s2 = sched.Execute(slow).status(); });
+  while (sched.stats().queue_depth < 1) std::this_thread::sleep_for(1ms);
 
-  Status overloaded = sched.Submit(slow, [](Result<QueryOutcome>) {});
+  Status overloaded = sched.Execute(slow).status();
   EXPECT_EQ(overloaded.code(), StatusCode::kUnavailable);
   EXPECT_NE(overloaded.message().find("overloaded"), std::string::npos);
 
@@ -214,8 +207,10 @@ TEST_F(SchedTest, FullQueueRejectsWithUnavailable) {
     release = true;
     cv.notify_all();
   }
-  EXPECT_TRUE(p1.get_future().get().ok());
-  EXPECT_TRUE(p2.get_future().get().ok());
+  t1.join();
+  t2.join();
+  EXPECT_TRUE(s1.ok()) << s1.ToString();
+  EXPECT_TRUE(s2.ok()) << s2.ToString();
 
   SchedulerStats stats = sched.stats();
   EXPECT_EQ(stats.admitted, 2u);
@@ -305,14 +300,13 @@ TEST_F(SchedTest, ExpiredBeforeDequeueNeverTouchesEngine) {
   SchedulerOptions options;
   options.workers = 1;
   QueryScheduler sched(&db_, options);
-  std::promise<Status> gated;
-  ASSERT_TRUE(sched
-                  .Submit("PREFIX ex: <http://example.org/> "
-                          "SELECT (ex:gate(1) AS ?x) WHERE { }",
-                          [&](Result<QueryOutcome> r) {
-                            gated.set_value(r.status());
-                          })
-                  .ok());
+  Status gated;
+  std::thread reader([&] {
+    gated = sched
+                .Execute("PREFIX ex: <http://example.org/> "
+                         "SELECT (ex:gate(1) AS ?x) WHERE { }")
+                .status();
+  });
   {
     std::unique_lock<std::mutex> lock(mu);
     ASSERT_TRUE(cv.wait_for(lock, 5s, [&] { return entered; }));
@@ -320,20 +314,20 @@ TEST_F(SchedTest, ExpiredBeforeDequeueNeverTouchesEngine) {
   QueryRequest req(
       "PREFIX ex: <http://example.org/> INSERT DATA { ex:z ex:val 0 }");
   req.timeout = 1ms;
-  std::promise<Status> expired;
-  ASSERT_TRUE(sched.Submit(std::move(req), [&](Result<QueryOutcome> r) {
-                       expired.set_value(r.status());
-                     })
-                  .ok());
+  Status expired;
+  std::thread writer(
+      [&] { expired = sched.Execute(std::move(req)).status(); });
+  while (sched.stats().queue_depth < 1) std::this_thread::sleep_for(1ms);
   std::this_thread::sleep_for(20ms);  // let the queued write's deadline pass
   {
     std::lock_guard<std::mutex> lock(mu);
     release = true;
     cv.notify_all();
   }
-  EXPECT_TRUE(gated.get_future().get().ok());
-  Status st = expired.get_future().get();
-  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
+  reader.join();
+  writer.join();
+  EXPECT_TRUE(gated.ok()) << gated.ToString();
+  EXPECT_EQ(expired.code(), StatusCode::kDeadlineExceeded);
   // The write was dropped before execution.
   auto ask = sched.Execute(
       "PREFIX ex: <http://example.org/> ASK { ex:z ex:val 0 }");
@@ -432,10 +426,13 @@ TEST_F(SchedTest, StopFailsQueuedWorkCleanly) {
   std::mutex mu;
   std::condition_variable cv;
   bool release = false;
+  bool entered = false;
   db_.RegisterForeign(
       "http://example.org/gate",
       [&](std::span<const Term> args) -> Result<Term> {
         std::unique_lock<std::mutex> lock(mu);
+        entered = true;
+        cv.notify_all();
         cv.wait_for(lock, 5s, [&] { return release; });
         return args[0];
       },
@@ -446,27 +443,28 @@ TEST_F(SchedTest, StopFailsQueuedWorkCleanly) {
   const std::string slow =
       "PREFIX ex: <http://example.org/> "
       "SELECT (ex:gate(1) AS ?x) WHERE { }";
-  std::promise<Status> queued;
-  ASSERT_TRUE(sched->Submit(slow, [](Result<QueryOutcome>) {}).ok());
-  ASSERT_TRUE(sched
-                  ->Submit(slow,
-                           [&](Result<QueryOutcome> r) {
-                             queued.set_value(r.status());
-                           })
-                  .ok());
+  std::thread running([&] { (void)sched->Execute(slow); });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, 5s, [&] { return entered; }));
+  }
+  Status queued;
+  std::thread waiting([&] { queued = sched->Execute(slow).status(); });
+  while (sched->stats().queue_depth < 1) std::this_thread::sleep_for(1ms);
   std::thread stopper([&] {
     std::this_thread::sleep_for(50ms);
     std::lock_guard<std::mutex> lock(mu);
     release = true;
     cv.notify_all();
   });
-  sched->Stop();  // must fail the still-queued task, not hang
+  sched->Stop();  // must fail the still-queued statement, not hang
   stopper.join();
-  Status st = queued.get_future().get();
-  EXPECT_EQ(st.code(), StatusCode::kUnavailable);
+  running.join();
+  waiting.join();
+  EXPECT_EQ(queued.code(), StatusCode::kUnavailable);
 
-  // Submitting after Stop is a clean rejection.
-  Status after = sched->Submit(slow, [](Result<QueryOutcome>) {});
+  // Executing after Stop is a clean rejection.
+  Status after = sched->Execute(slow).status();
   EXPECT_EQ(after.code(), StatusCode::kUnavailable);
 }
 

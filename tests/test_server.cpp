@@ -1,14 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -237,40 +233,107 @@ TEST_F(ServerTest, StatsVerb) {
   EXPECT_NE(stats->find("queue_high_water="), std::string::npos);
 }
 
+/// A raw connection to the test server that sends one frame at a time
+/// and reads the reply — the wire as any client sees it.
+class RawConnection {
+ public:
+  explicit RawConnection(int port) {
+    auto fd = net::DialServer("127.0.0.1", port, std::chrono::seconds(5));
+    EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+    fd_ = fd.ok() ? *fd : -1;
+  }
+  ~RawConnection() {
+    if (fd_ >= 0) {
+      net::ForgetFd(fd_);
+      ::close(fd_);
+    }
+  }
+
+  /// Sends `payload` and returns the reply payload ("" on a broken
+  /// connection).
+  std::string Call(const std::string& payload) {
+    if (!net::WriteFrame(fd_, payload).ok()) return "";
+    auto reply = net::ReadFrame(fd_);
+    return reply.ok() ? *reply : "";
+  }
+
+  /// Sends `text` as a structured request and decodes the reply.
+  Result<WireResponse> Structured(const std::string& text,
+                                  std::chrono::milliseconds timeout = {}) {
+    WireRequest req;
+    req.text = text;
+    req.timeout = timeout;
+    return DecodeResponse(Call(EncodeRequest(req)));
+  }
+
+ private:
+  int fd_ = -1;
+};
+
+constexpr char kAskScore10[] =
+    "PREFIX ex: <http://example.org/> ASK { ex:a ex:score 10 }";
+
+/// Expects an 'E' reply carrying InvalidArgument.
+void ExpectInvalidArgument(const std::string& payload) {
+  ASSERT_GE(payload.size(), 2u) << payload;
+  EXPECT_EQ(payload[0], 'E') << payload;
+  EXPECT_EQ(static_cast<StatusCode>(payload[1]), StatusCode::kInvalidArgument)
+      << payload;
+}
+
 TEST_F(ServerTest, StatsVerbNormalizesWhitespaceAndCase) {
   // The engine recognizes the STATS verb trimmed and case-insensitively;
-  // the server's response tagging must agree, or " stats " would come
-  // back as a plain 'I' info reply without the scheduler counters.
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port_));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  auto read_exact = [&](void* buf, size_t n) {
-    uint8_t* p = static_cast<uint8_t*>(buf);
-    while (n > 0) {
-      ssize_t r = ::recv(fd, p, n, 0);
-      if (r <= 0) return false;
-      p += r;
-      n -= static_cast<size_t>(r);
-    }
-    return true;
-  };
-  std::string framed = Frame("  stats \n");
-  ASSERT_EQ(::send(fd, framed.data(), framed.size(), 0),
-            static_cast<ssize_t>(framed.size()));
-  uint32_t len = 0;
-  ASSERT_TRUE(read_exact(&len, 4));
-  std::string payload(len, '\0');
-  ASSERT_TRUE(read_exact(payload.data(), len));
-  ::close(fd);
-  ASSERT_FALSE(payload.empty());
-  EXPECT_EQ(payload[0], 'S') << payload;
-  EXPECT_NE(payload.find("scheduler:"), std::string::npos) << payload;
-  EXPECT_NE(payload.find("admitted="), std::string::npos) << payload;
+  // the server's reply must agree, or " stats " would come back without
+  // the scheduler counters.
+  RawConnection conn(port_);
+  auto resp = conn.Structured("  stats \n");
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->kind, 'I') << resp->body;
+  EXPECT_NE(resp->body.find("scheduler:"), std::string::npos) << resp->body;
+  EXPECT_NE(resp->body.find("admitted="), std::string::npos) << resp->body;
+}
+
+TEST_F(ServerTest, BareTextFrameIsRejectedAndConnectionStaysUsable) {
+  // Only structured (0x01) and replication (0x02) frames carry requests.
+  RawConnection conn(port_);
+  ExpectInvalidArgument(conn.Call(kAskScore10));
+  ExpectInvalidArgument(conn.Call("STATS"));
+  auto resp = conn.Structured(kAskScore10);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->kind, 'B');
+  EXPECT_EQ(resp->body, std::string(1, '\x01'));
+}
+
+TEST_F(ServerTest, PreparedArgumentCountBeyondThePayloadIsRejected) {
+  // A 19-byte prepared-exec frame claiming 2^32-1 arguments and carrying
+  // none: the count must be refused before it sizes an allocation.
+  std::string frame;
+  frame.push_back(kStructuredMarker);
+  frame.push_back('\x20');  // flag bit 5: prepared execution
+  frame.append(8, '\0');    // timeout_ms = 0
+  frame.append("\x01\0\0\0q", 5);  // name "q"
+  frame.append(4, '\xff');  // argc = 0xFFFFFFFF
+  ASSERT_EQ(frame.size(), 19u);
+  RawConnection conn(port_);
+  ExpectInvalidArgument(conn.Call(frame));
+  // The server is still up and answers the next request.
+  auto session = RemoteSession::Connect("127.0.0.1", port_,
+                                        std::chrono::milliseconds(5000));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto ask = session->Ask(kAskScore10);
+  ASSERT_TRUE(ask.ok()) << ask.status().ToString();
+  EXPECT_TRUE(*ask);
+}
+
+TEST_F(ServerTest, TimeoutTooLargeForADeadlineMeansNone) {
+  // 2^62 ms from now overflows the steady clock; the request must run as
+  // if it had no deadline, not expire at once.
+  RawConnection conn(port_);
+  auto resp = conn.Structured(kAskScore10,
+                              std::chrono::milliseconds(int64_t{1} << 62));
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->kind, 'B');
+  EXPECT_EQ(resp->body, std::string(1, '\x01'));
 }
 
 TEST_F(ServerTest, RemoteDeadlineExceeded) {
@@ -551,7 +614,9 @@ TEST_F(SlowQueryServerTest, DisconnectCancelsInFlightQuery) {
   // A raw client sends the nap query and hangs up mid-query.
   auto fd = net::DialServer("127.0.0.1", port_, std::chrono::milliseconds(0));
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
-  ASSERT_TRUE(net::WriteFrame(*fd, kNapQuery).ok());
+  WireRequest nap;
+  nap.text = kNapQuery;
+  ASSERT_TRUE(net::WriteFrame(*fd, EncodeRequest(nap)).ok());
   AwaitNaps();
   net::ForgetFd(*fd);
   ::close(*fd);
